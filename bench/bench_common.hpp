@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -28,7 +29,6 @@
 #include "obs/trace.hpp"
 #include "perf/profiler.hpp"
 #include "report/metrics_json.hpp"
-#include "sched/instrumented.hpp"
 #include "stats/table.hpp"
 #include "switchsim/slotted_sim.hpp"
 
@@ -100,7 +100,7 @@ inline bool parse_common(CliParser& cli, int argc, const char* const* argv) {
                "bit-identical at any value (see docs/PARALLEL.md)")
       .flag("profile", false,
             "time hot-path phases (decide, lifecycle, calendar, repack, "
-            "checkpoint) and print a breakdown; sequential only "
+            "checkpoint), count allocations, and print a breakdown "
             "(see docs/PERF.md)")
       .text("profile-out", "",
             "write the basrpt-profile-v1 JSON breakdown here (implies "
@@ -163,18 +163,19 @@ class ObsSession {
         profile_path_(cli.get_text("profile-out")),
         profile_(cli.get_flag("profile") || !cli.get_text("profile-out").empty()),
         heartbeat_sec_(cli.get_real("heartbeat")) {
-    if (!metrics_path_.empty()) {
+    // Metrics and --profile both read the global registry, and arming
+    // observability is what arms the phase timers.
+    if (!metrics_path_.empty() || profile_) {
       obs::set_enabled(true);
       obs::Registry::global().reset();  // this run's numbers only
     }
     if (profile_) {
-      perf::Profiler& profiler = perf::Profiler::global();
-      profiler.reset();
+      perf::set_alloc_counting(true);
       // Span export only matters when a trace will be written; skipping
       // it otherwise keeps --profile's memory footprint flat.
-      profiler.set_span_recording(!trace_path_.empty());
-      perf::set_profiling(true);
-      profiler.begin_window();
+      perf::set_span_recording(!trace_path_.empty());
+      window_start_ns_ = perf::now_ns();
+      window_allocs_ = perf::alloc_total();
     }
     // Heartbeat lines log at INFO but the default threshold is WARN;
     // asking for --heartbeat implies wanting to see them. An explicit
@@ -188,9 +189,6 @@ class ObsSession {
   void apply(core::ExperimentConfig& config) {
     if (!trace_path_.empty()) {
       config.tracer = &tracer_;
-    }
-    if (!metrics_path_.empty()) {
-      config.instrument_scheduler = true;
     }
     if (heartbeat_sec_ > 0.0) {
       config.heartbeat_wall_sec = heartbeat_sec_;
@@ -211,40 +209,43 @@ class ObsSession {
     return trace_path_.empty() ? nullptr : &tracer_;
   }
 
-  /// Wraps a directly-constructed scheduler in the instrumentation
-  /// decorator when --metrics was requested; a pass-through otherwise.
-  sched::SchedulerPtr wrap(sched::SchedulerPtr scheduler) {
-    if (metrics_path_.empty()) {
-      return scheduler;
-    }
-    return std::make_unique<sched::InstrumentedScheduler>(
-        std::move(scheduler));
-  }
-
   /// Writes the artifacts. `status` other than "ok" marks a partial
   /// flush (signal / stall / config-parse failure): metrics carry a
   /// top-level "status" field and the trace a run_status marker, so
   /// downstream tooling never mistakes partial numbers for final ones.
   void finish(const std::string& status = "ok") {
     if (profile_) {
-      perf::Profiler& profiler = perf::Profiler::global();
-      profiler.end_window();
-      perf::set_profiling(false);
+      const std::uint64_t window_ns = perf::now_ns() - window_start_ns_;
+      const obs::Registry& registry = obs::Registry::global();
+      perf::set_alloc_counting(false);
+      perf::set_span_recording(false);
+      std::uint64_t attributed = 0;
+      for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
+        attributed += registry.phase(static_cast<obs::Phase>(p)).allocs;
+      }
+      const std::uint64_t allocs = perf::alloc_total() - window_allocs_;
+      const std::uint64_t unattributed =
+          allocs > attributed ? allocs - attributed : 0;
       if (!trace_path_.empty()) {
-        profiler.export_spans(tracer_);
-        if (profiler.spans_dropped() > 0) {
+        perf::export_spans(registry, window_start_ns_, tracer_);
+        if (registry.spans_dropped() > 0) {
           std::fprintf(stderr,
-                       "profile: trace span cap reached; %zu later phase "
+                       "profile: trace span cap reached; %llu later phase "
                        "spans not exported (aggregates still cover them)\n",
-                       profiler.spans_dropped());
+                       static_cast<unsigned long long>(
+                           registry.spans_dropped()));
         }
       }
       if (!profile_path_.empty()) {
-        profiler.write_json_file(profile_path_);
+        std::ofstream out(profile_path_);
+        BASRPT_REQUIRE(out.good(),
+                       "cannot open profile output file: " + profile_path_);
+        out << perf::profile_json(registry, window_ns, unattributed)
+                   .serialize(2);
         std::printf("wrote profile to %s\n", profile_path_.c_str());
       }
-      print_profile_breakdown(profiler);
-      profile_ = false;  // a second finish() must not reopen the window
+      print_profile_breakdown(registry, window_ns, unattributed);
+      profile_ = false;  // a second finish() must not report twice
     }
     if (!metrics_path_.empty()) {
       report::write_metrics_file(metrics_path_, obs::Registry::global(),
@@ -266,29 +267,34 @@ class ObsSession {
   }
 
  private:
-  static void print_profile_breakdown(const perf::Profiler& profiler) {
+  /// Under --jobs N the ns columns are summed over cells, so coverage
+  /// (phase self time over the wall window) can approach N.
+  static void print_profile_breakdown(const obs::Registry& registry,
+                                      std::uint64_t window_ns,
+                                      std::uint64_t unattributed) {
     std::fprintf(stderr, "profile: window %.3f s, coverage %.1f%%\n",
-                static_cast<double>(profiler.window_ns()) * 1e-9,
-                profiler.coverage() * 100.0);
-    for (std::size_t p = 0; p < perf::kPhaseCount; ++p) {
-      const auto phase = static_cast<perf::Phase>(p);
-      const perf::PhaseStats s = profiler.stats(phase);
+                 static_cast<double>(window_ns) * 1e-9,
+                 window_ns > 0 ? static_cast<double>(registry.phase_self_ns()) /
+                                     static_cast<double>(window_ns) * 100.0
+                               : 0.0);
+    for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
+      const auto phase = static_cast<obs::Phase>(p);
+      const obs::PhaseStats& s = registry.phase(phase);
       if (s.calls == 0) {
         continue;
       }
       std::fprintf(stderr,
-                  "  %-17s %12llu calls  self %9.3f ms  p99 %8.0f ns  "
-                  "allocs %llu\n",
-                  perf::phase_name(phase),
-                  static_cast<unsigned long long>(s.calls),
-                  static_cast<double>(s.self_ns) * 1e-6,
-                  profiler.histogram(phase).quantile(0.99),
-                  static_cast<unsigned long long>(s.allocs));
+                   "  %-17s %12llu calls  self %9.3f ms  p99 %8.0f ns  "
+                   "allocs %llu\n",
+                   obs::phase_name(phase),
+                   static_cast<unsigned long long>(s.calls),
+                   static_cast<double>(s.self_ns) * 1e-6,
+                   s.ns.quantile(0.99),
+                   static_cast<unsigned long long>(s.allocs));
     }
-    const perf::PhaseStats u = profiler.unattributed();
-    if (u.allocs > 0) {
+    if (unattributed > 0) {
       std::fprintf(stderr, "  %-17s %32s allocs %llu\n", "(unattributed)", "",
-                  static_cast<unsigned long long>(u.allocs));
+                   static_cast<unsigned long long>(unattributed));
     }
   }
 
@@ -296,6 +302,8 @@ class ObsSession {
   std::string trace_path_;
   std::string profile_path_;
   bool profile_ = false;
+  std::uint64_t window_start_ns_ = 0;
+  std::uint64_t window_allocs_ = 0;
   double heartbeat_sec_;
   obs::FlowTracer tracer_;
 };

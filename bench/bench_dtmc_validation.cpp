@@ -54,8 +54,7 @@ int main(int argc, char** argv) {
     sim_config.horizon = slots;
     sim_config.watched_dst = 1;
     obs_session.apply(sim_config);
-    auto scheduler = obs_session.wrap(
-        sched::make_scheduler(sched::SchedulerSpec::maxweight()));
+    auto scheduler = sched::make_scheduler(sched::SchedulerSpec::maxweight());
     const auto sim = switchsim::run_slotted(
         sim_config, *scheduler,
         switchsim::bernoulli_arrivals(rates, unit, slots, Rng(seed)));

@@ -47,7 +47,6 @@ int main(int argc, char** argv) {
 
   const auto run = [&](const std::string& label,
                        sched::SchedulerPtr scheduler) {
-    scheduler = obs_session.wrap(std::move(scheduler));
     switchsim::SlottedConfig config;
     config.n_ports = 4;
     config.horizon = 6;

@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
     config.heartbeat_wall_sec = cli.get_real("heartbeat");
     config.paranoid = cli.get_flag("paranoid");
     session.apply(config);
-    auto scheduler = session.wrap(sched::make_scheduler(cell.spec));
+    auto scheduler = sched::make_scheduler(cell.spec);
     workload::VectorTraffic replay(recorder.recorded());
     const auto r = run_flow_sim(config, *scheduler, replay);
     const auto q = r.fct.summary(stats::FlowClass::kQuery);

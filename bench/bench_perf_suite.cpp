@@ -2,8 +2,8 @@
 // health, recorded as basrpt-bench-v1 for the regression gate.
 //
 // Two cases:
-//  * flowsim/quick — one quick-scale experiment per repetition under
-//    the phase profiler: events/sec, calendar depth peak, allocations
+//  * flowsim/quick — one quick-scale experiment per repetition with
+//    the phase timers armed: events/sec, calendar depth peak, allocations
 //    per event (deterministic for a fixed seed — the gate holds it to
 //    an absolute corridor), and the profile coverage fraction (the
 //    share of run wall-clock the phase breakdown accounts for; the
@@ -16,7 +16,6 @@
 // committed baseline uses the default. Flags: --perf-out=PATH,
 // --reps=N, --horizon=SEC, --jobs=N.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,15 +34,9 @@ namespace {
 
 using namespace basrpt;
 
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// One quick-scale flowsim run under the profiler. Reported numbers are
-/// the median repetition by events/sec.
+/// One quick-scale flowsim run with observability on (so every phase
+/// timer and decision metric is armed) and allocation counting. Reported
+/// numbers are the median repetition by events/sec.
 perf::BenchCase flowsim_case(double horizon_sec, int reps) {
   struct Rep {
     double events_per_sec = 0.0;
@@ -66,38 +59,30 @@ perf::BenchCase flowsim_case(double horizon_sec, int reps) {
     config.horizon = seconds(horizon_sec);
     config.seed = 1;
 
-    perf::Profiler& profiler = perf::Profiler::global();
-    profiler.reset();
-    perf::set_profiling(true);
+    perf::set_alloc_counting(true);
     const std::uint64_t a0 = perf::alloc_total();
-    profiler.begin_window();
-    const std::uint64_t t0 = now_ns();
+    const std::uint64_t t0 = perf::now_ns();
     auto result = core::run_experiment(config);
-    const std::uint64_t wall = now_ns() - t0;
-    profiler.end_window();
+    const std::uint64_t wall = perf::now_ns() - t0;
     const std::uint64_t allocs = perf::alloc_total() - a0;
-    perf::set_profiling(false);
+    perf::set_alloc_counting(false);
 
     Rep rep;
     obs::Registry& reg = obs::Registry::global();
     rep.events =
         static_cast<double>(reg.counter("sim.events_executed").value());
     rep.calendar_peak = reg.gauge("sim.calendar_peak").value();
-    rep.events_per_sec =
-        wall > 0 ? rep.events * 1e9 / static_cast<double>(wall) : 0.0;
+    if (wall > 0) {
+      const auto frac = [wall](std::uint64_t ns) {
+        return static_cast<double>(ns) / static_cast<double>(wall);
+      };
+      rep.events_per_sec = rep.events * 1e9 / static_cast<double>(wall);
+      rep.coverage = frac(reg.phase_self_ns());
+      rep.decide_frac = frac(reg.phase(obs::Phase::kDecide).self_ns);
+      rep.dispatch_frac = frac(reg.phase(obs::Phase::kEventDispatch).self_ns);
+    }
     rep.allocs_per_event =
         rep.events > 0 ? static_cast<double>(allocs) / rep.events : 0.0;
-    rep.coverage = profiler.coverage();
-    const std::uint64_t window = profiler.window_ns();
-    if (window > 0) {
-      rep.decide_frac =
-          static_cast<double>(profiler.stats(perf::Phase::kDecide).self_ns) /
-          static_cast<double>(window);
-      rep.dispatch_frac =
-          static_cast<double>(
-              profiler.stats(perf::Phase::kEventDispatch).self_ns) /
-          static_cast<double>(window);
-    }
     // Keep the run honest: a sim that silently did nothing would make
     // every rate below vacuously stable.
     BASRPT_REQUIRE(result.flows_completed > 0,
@@ -155,11 +140,12 @@ perf::BenchCase cellpool_case(int jobs, int reps) {
   std::vector<Rep> runs;
   for (int r = 0; r < reps; ++r) {
     exec::CellPool pool(jobs);
-    const std::uint64_t t0 = now_ns();
+    const std::uint64_t t0 = perf::now_ns();
     pool.run(
         kCells, [](std::size_t) { spin_cell(kSpinIters); },
         [](std::size_t) {});
-    const std::uint64_t wall = std::max<std::uint64_t>(1, now_ns() - t0);
+    const std::uint64_t wall =
+        std::max<std::uint64_t>(1, perf::now_ns() - t0);
     Rep rep;
     rep.cells_per_sec =
         static_cast<double>(kCells) * 1e9 / static_cast<double>(wall);

@@ -95,17 +95,15 @@ int main(int argc, char** argv) {
   for (const double v : {10.0, 40.0, 160.0, 640.0, 2560.0}) {
     char label[32];
     std::snprintf(label, sizeof(label), "v%d", static_cast<int>(v));
-    add(label, [&session, v] {
-      return session.wrap(
-          sched::make_scheduler(sched::SchedulerSpec::fast_basrpt(v)));
+    add(label, [v] {
+      return sched::make_scheduler(sched::SchedulerSpec::fast_basrpt(v));
     });
   }
-  add("srpt", [&session] {
-    return session.wrap(sched::make_scheduler(sched::SchedulerSpec::srpt()));
+  add("srpt", [] {
+    return sched::make_scheduler(sched::SchedulerSpec::srpt());
   });
-  add("maxweight", [&session] {
-    return session.wrap(
-        sched::make_scheduler(sched::SchedulerSpec::maxweight()));
+  add("maxweight", [] {
+    return sched::make_scheduler(sched::SchedulerSpec::maxweight());
   });
   add("bvn", [n, seed] {
     return std::make_unique<sched::BvnScheduler>(

@@ -20,7 +20,8 @@
 // CheckpointSession code path the sequential benches always used, so
 // output is byte-identical to pre-RunSession builds. At --jobs > 1 the
 // stored prefix replays first, then the remaining cells fan out on an
-// exec::CellPool with per-cell metric/tracer shards; results, commit
+// exec::CellPool with per-cell metric/tracer shards (phase timings
+// included, so --profile works at any --jobs); results, commit
 // callbacks, checkpoint writes, and progress lines all land in
 // submission order (see docs/PARALLEL.md for the determinism contract).
 #pragma once
@@ -59,16 +60,6 @@ class RunSession {
         obs_(cli),
         faults_(cli, fault_ports, fault_horizon, &obs_),
         jobs_(exec::resolve_jobs(static_cast<int>(cli.get_integer("jobs")))) {
-    // Phase timing accumulates into unsynchronized globals (see
-    // perf/profiler.hpp); a parallel profile would be silently corrupt,
-    // so refuse the combination like any other bad flag pair.
-    if (jobs_ > 1 && (cli.get_flag("profile") ||
-                      !cli.get_text("profile-out").empty())) {
-      std::fprintf(stderr,
-                   "error: --profile requires a sequential run; drop "
-                   "--jobs or set --jobs 1\n");
-      std::exit(2);
-    }
     if (checkpointing == Checkpointing::kCells) {
       ckpt_.emplace(cli, std::move(bench_name), obs_);
     } else {
@@ -89,9 +80,6 @@ class RunSession {
   /// Forwards to the underlying sessions, for the handful of call sites
   /// a facade method does not cover.
   obs::FlowTracer* tracer_or_null() { return obs_.tracer_or_null(); }
-  sched::SchedulerPtr wrap(sched::SchedulerPtr scheduler) {
-    return obs_.wrap(std::move(scheduler));
-  }
   const FaultSession& faults() const { return faults_; }
   bool fault_active() const { return faults_.active(); }
   const fault::FaultPlan& fault_plan() const { return faults_.plan(); }
@@ -143,15 +131,12 @@ class RunSession {
       return;
     }
     obs::FlowTracer* session_tracer = obs_.tracer_or_null();
-    // Always shard metrics: simulators create registry map nodes even
-    // when observability is off, which would race at global().
-    const bool shard_metrics = true;
     std::vector<std::unique_ptr<exec::CellArtifacts>> artifacts(count);
     pool.run(
         count,
         [&](std::size_t i) {
-          artifacts[i] = std::make_unique<exec::CellArtifacts>(
-              shard_metrics, session_tracer != nullptr);
+          artifacts[i] =
+              std::make_unique<exec::CellArtifacts>(session_tracer != nullptr);
           obs::ScopedRegistryBind bind(artifacts[i]->registry());
           task(i, artifacts[i]->tracer());
         },
@@ -238,9 +223,6 @@ class RunSession {
     }
 
     obs::FlowTracer* session_tracer = obs_.tracer_or_null();
-    // Always shard metrics: simulators create registry map nodes even
-    // when observability is off, which would race at global().
-    const bool shard_metrics = true;
     std::vector<std::unique_ptr<exec::CellArtifacts>> artifacts(sweep.size());
     std::vector<std::optional<exec::CellOutput>> outputs(sweep.size());
     exec::CellPool pool(jobs_);
@@ -250,7 +232,7 @@ class RunSession {
           [&](std::size_t k) {
             const std::size_t i = first + k;
             artifacts[i] = std::make_unique<exec::CellArtifacts>(
-                shard_metrics, session_tracer != nullptr);
+                session_tracer != nullptr);
             obs::ScopedRegistryBind bind(artifacts[i]->registry());
             outputs[i] = sweep.compute(i, artifacts[i]->tracer());
           },

@@ -157,15 +157,35 @@ if [[ "$RUN_TIER2" == 1 ]]; then
   # at --jobs 4 in a TSan build (halt on the first race) and require its
   # CSV to be byte-identical to the same binary at --jobs 1. This is the
   # contract of src/exec (docs/PARALLEL.md): any job count, same bytes.
+  # Both runs carry --profile --metrics, so the per-cell registry shards
+  # (phase timers included) run under TSan too, and every metric that
+  # is not a wall-clock ns reading must merge to the --jobs 1 value.
   echo "==== tier 2: parallel sweep under TSan ===="
   cmake -B build-tsan -DBASRPT_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" --target bench_fig6_loads
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/bench/bench_fig6_loads \
-      --horizon 0.3 --csv --jobs 1 > "$CKPT_TMP/fig6.j1.csv"
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/bench/bench_fig6_loads \
-      --horizon 0.3 --csv --jobs 4 > "$CKPT_TMP/fig6.j4.csv"
+  for jobs in 1 4; do
+    TSAN_OPTIONS="halt_on_error=1" ./build-tsan/bench/bench_fig6_loads \
+        --horizon 0.3 --csv --jobs "$jobs" --profile \
+        --metrics "$CKPT_TMP/fig6.j$jobs.json" \
+        | grep -v '^wrote ' > "$CKPT_TMP/fig6.j$jobs.csv"
+  done
   diff "$CKPT_TMP/fig6.j1.csv" "$CKPT_TMP/fig6.j4.csv" \
       || { echo "tsan sweep: --jobs 4 CSV diverges from --jobs 1" >&2; exit 1; }
+  python3 - "$CKPT_TMP/fig6.j1.json" "$CKPT_TMP/fig6.j4.json" <<'PYEOF'
+import json, sys
+def exact(path):
+    doc = json.load(open(path))
+    hists = {name: ({"count": h["count"]} if name.endswith("_ns") else h)
+             for name, h in doc["histograms"].items()}
+    phases = {name: p["calls"] for name, p in doc["phases"].items()}
+    return doc["counters"], doc["gauges"], hists, phases
+j1, j4 = exact(sys.argv[1]), exact(sys.argv[2])
+assert j1[3].get("decide", 0) > 0, "no decide phase recorded"
+for what, a, b in zip(("counters", "gauges", "histograms", "phases"), j1, j4):
+    assert a == b, f"--jobs 4 {what} diverge from --jobs 1: {a} vs {b}"
+print(f"tsan sweep: --profile --metrics merge exact "
+      f"({len(j1[0])} counters, {len(j1[3])} phases)")
+PYEOF
   echo "tsan sweep: --jobs 4 CSV byte-identical, no races"
 fi
 
@@ -350,8 +370,9 @@ if [[ "$RUN_PERF" == 1 ]]; then
   # Perf stage: regenerate each BENCH_*.json with a bounded budget
   # (fewer reps / shorter horizon than the committed baselines, so the
   # stage stays under ~2 minutes) and gate against the baselines at the
-  # repo root. The gate mirrors src/perf/gate.cpp; --self-test proves
-  # the comparator itself before any real records are trusted. The gate
+  # repo root. scripts/perf_gate.py is the one gate; --self-test (also a
+  # CTest case) proves the comparator before any real records are
+  # trusted. The gate
   # is strict by default — a regression fails the build; set
   # BASRPT_PERF_STRICT=0 to downgrade to warn-only on noisy runners.
   echo "==== perf: bench records + regression gate ===="

@@ -2,10 +2,10 @@
 """Perf-regression gate over basrpt-bench-v1 records.
 
 Compares a fresh BENCH_<name>.json against the committed baseline with
-per-metric-class tolerances and exits non-zero on regression. The rules
-mirror src/perf/gate.cpp (the unit-tested C++ reference); docs/PERF.md
-pins the metric naming convention both implementations infer direction
-from:
+per-metric-class tolerances and exits non-zero on regression. This is
+the project's one gate: CI runs it, and `--self-test` (registered with
+CTest) proves the comparator. docs/PERF.md pins the metric naming
+convention it infers direction from:
 
     *_per_sec                    higher is better   (throughput tol)
     ns_* / *_ns*                 lower is better    (latency tol)
@@ -194,8 +194,9 @@ def run_gate(args):
 
 
 def self_test():
-    """Synthesizes a baseline, an injected 20% regression that must fail,
-    and a within-tolerance run that must pass."""
+    """Runs the comparator over synthetic records: the direction table,
+    injected regressions that must fail, and within-tolerance runs,
+    informational metrics, and new cases that must pass."""
     base = {
         "schema": "basrpt-bench-v1", "name": "selftest",
         "host": "h", "cpu": "c",
@@ -220,6 +221,17 @@ def self_test():
 
     failures = []
 
+    # 0. Direction table: the suffix decides the direction.
+    for name, want in (("decisions_per_sec", "higher"),
+                       ("ns_p50", "lower"), ("total_ns", "lower"),
+                       ("allocs_per_decision", "lower"),
+                       ("coverage_frac", None), ("rep_spread_frac", None)):
+        if metric_direction(name) != want:
+            failures.append("%s direction is %r, want %r"
+                            % (name, metric_direction(name), want))
+    if not is_tail_metric("ns_p999") or is_tail_metric("ns_p50"):
+        failures.append("tail classification of ns_p999 / ns_p50 is wrong")
+
     # 1. A 20% throughput drop must regress (tolerance is 10%).
     r, m, _ = compare(base, clone_with(decisions_per_sec=0.8e6), tols)
     if not r:
@@ -232,12 +244,23 @@ def self_test():
     if r or m:
         failures.append("within-tolerance run was flagged: %r" % (r + m))
 
-    # 3. A new steady-state allocation must regress (absolute corridor).
+    # 3. A new steady-state allocation must regress (absolute corridor),
+    # while 0.3 allocs/op stays inside it.
     r, m, _ = compare(base, clone_with(allocs_per_decision=1.0), tols)
     if not r:
         failures.append("new steady-state allocation was not flagged")
+    r, _, _ = compare(base, clone_with(allocs_per_decision=0.3), tols)
+    if r:
+        failures.append("0.3 allocs/op was flagged inside the corridor")
 
-    # 4. Tail tolerance is looser: +50% p99 passes, +70% fails.
+    # 4. Tail tolerance is looser: +40% fails on p50 but passes on p99;
+    # +50% p99 passes, +70% fails.
+    r, _, _ = compare(base, clone_with(ns_p50=1260.0), tols)
+    if not r:
+        failures.append("+40% p50 was not flagged (30% latency tolerance)")
+    r, _, _ = compare(base, clone_with(ns_p99=2800.0), tols)
+    if r:
+        failures.append("+40% p99 was flagged despite 60% tail tolerance")
     r, _, _ = compare(base, clone_with(ns_p99=3000.0), tols)
     if r:
         failures.append("+50% p99 was flagged despite 60% tail tolerance")
@@ -245,12 +268,21 @@ def self_test():
     if not r:
         failures.append("+70% p99 was not flagged")
 
-    # 5. A dropped case must fail the gate.
+    # 5. A dropped case must fail the gate; a case only the fresh record
+    # has is noted, not failed.
     fresh = json.loads(json.dumps(base))
     fresh["cases"] = []
     _, m, _ = compare(base, fresh, tols)
     if not m:
         failures.append("dropped case was not flagged")
+    fresh = json.loads(json.dumps(base))
+    fresh["cases"].append({"label": "decide/srpt/ports=288",
+                           "metrics": {"decisions_per_sec": 1.0}})
+    r, m, notes = compare(base, fresh, tols)
+    if r or m:
+        failures.append("a new case failed the gate: %r" % (r + m))
+    if not any("decide/srpt/ports=288" in n for n in notes):
+        failures.append("a new case was not noted")
 
     # 6. Informational metrics are never gated.
     r, _, _ = compare(base, clone_with(rep_spread_frac=10.0), tols)
@@ -270,7 +302,7 @@ def self_test():
     for f in failures:
         print("self-test FAILED:", f, file=sys.stderr)
     if not failures:
-        print("self-test: ok (7 scenarios)")
+        print("self-test: ok (8 scenarios)")
     return 1 if failures else 0
 
 

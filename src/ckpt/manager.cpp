@@ -119,7 +119,7 @@ CheckpointManager::CheckpointManager(CheckpointManagerConfig config)
 }
 
 std::string CheckpointManager::write(const std::string& payload) {
-  const perf::ScopedPhase phase(perf::Phase::kCheckpointWrite);
+  const perf::ScopedPhase phase(obs::Phase::kCheckpointWrite);
   const std::string final_name = seq_name(config_.run_id, seq_);
   const std::string final_path =
       (fs::path(config_.dir) / final_name).string();

@@ -4,7 +4,6 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
-#include "sched/instrumented.hpp"
 #include "workload/generators.hpp"
 
 namespace basrpt::core {
@@ -14,12 +13,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
                  "load must be in (0, 1)");
 
   auto scheduler = sched::make_scheduler(config.scheduler);
-  if (config.instrument_scheduler) {
-    // Passive decorator: same decisions, same name, plus decision-cost
-    // metrics in the global obs registry.
-    scheduler = std::make_unique<sched::InstrumentedScheduler>(
-        std::move(scheduler));
-  }
 
   Rng rng(config.seed);
   auto traffic = workload::paper_mix(

@@ -56,10 +56,6 @@ struct ExperimentConfig {
   // ---- Observability (all passive: results stay bit-identical) ----
   /// Flow-lifecycle tracer; null disables. See obs::FlowTracer.
   obs::FlowTracer* tracer = nullptr;
-  /// Wraps the scheduler in sched::InstrumentedScheduler, recording
-  /// per-decision latency/candidates/matching-size/preemptions into the
-  /// global obs registry.
-  bool instrument_scheduler = false;
   /// Logs sim progress every N wall-seconds (<= 0 disables).
   double heartbeat_wall_sec = 0.0;
 

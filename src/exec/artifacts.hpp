@@ -20,29 +20,23 @@ namespace basrpt::exec {
 
 class CellArtifacts {
  public:
-  /// `shard_metrics`: give the cell a private Registry (pass it to
-  /// ScopedRegistryBind). `shard_trace`: give it a private FlowTracer
-  /// (point the cell's config at it).
-  CellArtifacts(bool shard_metrics, bool shard_trace) {
-    if (shard_metrics) {
-      registry_.emplace();
-    }
+  /// Every cell gets a private Registry (pass it to ScopedRegistryBind).
+  /// `shard_trace`: also give it a private FlowTracer (point the cell's
+  /// config at it).
+  explicit CellArtifacts(bool shard_trace) {
     if (shard_trace) {
       tracer_.emplace();
     }
   }
 
-  obs::Registry* registry() { return registry_ ? &*registry_ : nullptr; }
+  obs::Registry* registry() { return &registry_; }
   obs::FlowTracer* tracer() { return tracer_ ? &*tracer_ : nullptr; }
 
   /// Ordered commit: merges the shard into obs::Registry::global() and
   /// the trace records into `session_tracer` (ignored when either side
   /// is absent). Call on the committing thread only.
   void absorb(obs::FlowTracer* session_tracer) {
-    if (registry_) {
-      obs::Registry::global().merge_from(*registry_);
-      registry_.reset();
-    }
+    obs::Registry::global().merge_from(registry_);
     if (tracer_ && session_tracer != nullptr) {
       session_tracer->absorb(*tracer_);
     }
@@ -50,7 +44,7 @@ class CellArtifacts {
   }
 
  private:
-  std::optional<obs::Registry> registry_;
+  obs::Registry registry_;
   std::optional<obs::FlowTracer> tracer_;
 };
 

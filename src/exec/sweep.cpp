@@ -91,18 +91,13 @@ void Sweep::run(int jobs, obs::FlowTracer* session_tracer) {
     }
     return;
   }
-  // Metrics always shard under parallelism: even with observability
-  // disabled the simulators still *name* metrics in Registry::active()
-  // (creating map nodes), so routing workers at global() would race.
-  const bool shard_metrics = true;
   const bool shard_trace = session_tracer != nullptr;
   std::vector<std::unique_ptr<CellArtifacts>> artifacts(size());
   std::vector<std::optional<CellOutput>> outputs(size());
   pool.run(
       size(),
       [&](std::size_t i) {
-        artifacts[i] =
-            std::make_unique<CellArtifacts>(shard_metrics, shard_trace);
+        artifacts[i] = std::make_unique<CellArtifacts>(shard_trace);
         obs::ScopedRegistryBind bind(artifacts[i]->registry());
         outputs[i] = compute(i, artifacts[i]->tracer());
       },

@@ -35,7 +35,7 @@ CandidateCache::CandidateCache(const queueing::VoqMatrix& voqs,
 }
 
 const sched::CandidateView& CandidateCache::refresh() {
-  const perf::ScopedPhase phase(perf::Phase::kCandidateRepack);
+  const perf::ScopedPhase phase(obs::Phase::kCandidateRepack);
   ++refreshes_;
   if (voqs_.version() == seen_version_ && mask_epoch_ == seen_mask_epoch_) {
     return view_;  // nothing changed since the last decision

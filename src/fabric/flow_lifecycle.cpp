@@ -1,5 +1,8 @@
 #include "fabric/flow_lifecycle.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/assert.hpp"
 #include "perf/profiler.hpp"
 
@@ -69,33 +72,92 @@ FlowId FlowLifecycle::requeue(const queueing::Flow& evicted, double now) {
 
 void FlowLifecycle::apply_decision(const std::vector<FlowId>& selected,
                                    double now) {
-  if (tracer_ == nullptr) {
+  const bool counting = obs::enabled();
+  if (tracer_ == nullptr && !counting) {
     return;
   }
-  const perf::ScopedPhase phase(perf::Phase::kLifecycleApply);
+  const perf::ScopedPhase phase(obs::Phase::kLifecycleApply);
   BASRPT_ASSERT(voqs_ != nullptr,
                 "apply_decision needs an attached VoqMatrix");
-  selected_set_.clear();
-  selected_set_.insert(selected.begin(), selected.end());
+  mark_selected(selected);
+  std::int64_t preempted = 0;
   for (const FlowId id : prev_selected_) {
+    if (is_selected(id)) {
+      continue;  // still selected
+    }
     if (!voqs_->contains(id)) {
       continue;  // completed, not preempted
     }
-    if (selected_set_.count(id) != 0) {
-      continue;  // still selected
+    ++preempted;
+    if (tracer_ != nullptr) {
+      const queueing::Flow& f = voqs_->flow(id);
+      tracer_->on_preemption(f.id, f.src, f.dst, now,
+                             static_cast<double>(f.size.count),
+                             static_cast<double>(f.remaining.count));
     }
-    const queueing::Flow& f = voqs_->flow(id);
-    tracer_->on_preemption(f.id, f.src, f.dst, now,
-                           static_cast<double>(f.size.count),
-                           static_cast<double>(f.remaining.count));
   }
-  for (const FlowId id : selected) {
-    const queueing::Flow& f = voqs_->flow(id);
-    tracer_->on_service(f.id, f.src, f.dst, now,
-                        static_cast<double>(f.size.count),
-                        static_cast<double>(f.remaining.count));
+  if (counting) {
+    resolve_metrics();
+    preemptions_->add(preempted);
+  }
+  if (tracer_ != nullptr) {
+    for (const FlowId id : selected) {
+      const queueing::Flow& f = voqs_->flow(id);
+      tracer_->on_service(f.id, f.src, f.dst, now,
+                          static_cast<double>(f.size.count),
+                          static_cast<double>(f.remaining.count));
+    }
   }
   prev_selected_.assign(selected.begin(), selected.end());
+}
+
+void FlowLifecycle::mark_selected(const std::vector<FlowId>& selected) {
+  ++stamp_;
+  if (marks_.size() < 2 * selected.size() || marks_.empty()) {
+    marks_.assign(std::bit_ceil(std::max<std::size_t>(16, 2 * selected.size())),
+                  Mark{});
+  }
+  const std::size_t mask = marks_.size() - 1;
+  for (const FlowId id : selected) {
+    std::size_t pos = static_cast<std::size_t>(id) & mask;
+    while (marks_[pos].stamp == stamp_) {
+      pos = (pos + 1) & mask;
+    }
+    marks_[pos] = {id, stamp_};
+  }
+}
+
+bool FlowLifecycle::is_selected(FlowId id) const {
+  const std::size_t mask = marks_.size() - 1;
+  for (std::size_t pos = static_cast<std::size_t>(id) & mask;
+       marks_[pos].stamp == stamp_; pos = (pos + 1) & mask) {
+    if (marks_[pos].id == id) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void FlowLifecycle::record_decision(std::size_t candidates,
+                                    std::size_t selected) {
+  if (!obs::enabled()) {
+    return;
+  }
+  resolve_metrics();
+  decisions_->add(1);
+  candidates_->add(candidates);
+  matching_size_->add(selected);
+}
+
+void FlowLifecycle::resolve_metrics() {
+  if (decisions_ != nullptr) {
+    return;
+  }
+  obs::Registry& registry = obs::Registry::active();
+  decisions_ = &registry.counter("sched.decisions");
+  preemptions_ = &registry.counter("sched.preemptions");
+  candidates_ = &registry.histogram("sched.candidates");
+  matching_size_ = &registry.histogram("sched.matching_size");
 }
 
 FlowLifecycle::State FlowLifecycle::state() const {
@@ -110,7 +172,6 @@ void FlowLifecycle::restore(const State& s) {
   flows_requeued_ = s.flows_requeued;
   bytes_arrived_ = s.bytes_arrived;
   prev_selected_ = s.prev_selected;
-  selected_set_.clear();  // scratch; rebuilt by the next apply_decision
 }
 
 void FlowLifecycle::note_service(FlowId id, PortId src, PortId dst,

@@ -1,22 +1,25 @@
 // One implementation of the flow lifecycle shared by all three
 // simulators (switchsim, flowsim, pktsim): admission (flow-id
 // allocation, arrival accounting, VOQ insertion, tracer notification),
-// decision application (preemption / first-service tracing against the
-// previous selection), and completion recording (FCT aggregation +
-// tracer notification).
+// decision application (preemption counting and preemption /
+// first-service tracing against the previous selection), per-decision
+// work metrics, and completion recording (FCT aggregation + tracer
+// notification).
 //
 // Before this class each simulator duplicated the logic, and the two
 // matching simulators each carried an O(S²) std::find loop to diff the
-// new selection against the previous one. The diff here is a hash-set
-// membership test — O(S) per decision — and iterates the previous
-// selection in its original decision order, so the emitted preemption
-// events are identical to the old loops'.
+// new selection against the previous one. The diff here is a membership
+// test in a small open-addressing set of the new selection — O(S) per
+// decision, cache-resident, allocation-free in steady state — and
+// iterates the previous selection in its original decision order, so
+// the emitted preemption events are identical to the old loops'.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "queueing/flow.hpp"
 #include "queueing/voq.hpp"
@@ -65,13 +68,19 @@ class FlowLifecycle {
   /// Traces as a preemption followed by an arrival. Returns the new id.
   FlowId requeue(const queueing::Flow& evicted, double now);
 
-  /// Applies a new scheduling decision for tracing purposes: flows from
-  /// the previous selection that are still queued but absent from
-  /// `selected` are reported preempted (in previous-decision order),
-  /// then every selected flow is reported served (the tracer keeps only
-  /// the first service per flow). No-op without a tracer. Requires an
+  /// Applies a new scheduling decision: flows from the previous
+  /// selection that are still queued but absent from `selected` are
+  /// preempted — counted into `sched.preemptions` when observability is
+  /// on, traced (in previous-decision order) when a tracer is attached —
+  /// then every selected flow is traced as served (the tracer keeps only
+  /// the first service per flow). No-op with neither. Requires an
   /// attached VoqMatrix.
   void apply_decision(const std::vector<FlowId>& selected, double now);
+
+  /// Records one scheduler decision at the simulator's decide call site
+  /// when observability is on: the `sched.decisions` counter and the
+  /// `sched.candidates` / `sched.matching_size` histograms.
+  void record_decision(std::size_t candidates, std::size_t selected);
 
   /// Tracer service hook for simulators without a matching decision
   /// (pktsim's per-packet sender choice). No-op without a tracer.
@@ -122,8 +131,29 @@ class FlowLifecycle {
   std::int64_t flows_requeued_ = 0;
   Bytes bytes_arrived_{};
 
-  std::vector<FlowId> prev_selected_;        // in decision order
-  std::unordered_set<FlowId> selected_set_;  // diff scratch
+  /// Resolves the decision metrics in obs::Registry::active() on first
+  /// use, so simulators that never decide (pktsim) name none.
+  void resolve_metrics();
+
+  /// Diff scratch: loads `selected` into marks_, an open-addressing set
+  /// (linear probing, at most half full) whose live entries carry the
+  /// current stamp_, so it never needs clearing. 64-bit stamps never
+  /// wrap.
+  void mark_selected(const std::vector<FlowId>& selected);
+  bool is_selected(FlowId id) const;
+
+  struct Mark {
+    FlowId id = 0;
+    std::uint64_t stamp = 0;
+  };
+
+  std::vector<FlowId> prev_selected_;  // in decision order
+  std::vector<Mark> marks_;
+  std::uint64_t stamp_ = 0;
+  obs::Counter* decisions_ = nullptr;
+  obs::Counter* preemptions_ = nullptr;
+  obs::LatencyHistogram* candidates_ = nullptr;
+  obs::LatencyHistogram* matching_size_ = nullptr;
 };
 
 }  // namespace basrpt::fabric

@@ -469,10 +469,12 @@ class Engine {
         return;
       }
       {
-        const perf::ScopedPhase phase(perf::Phase::kDecide);
+        const perf::ScopedPhase phase(obs::Phase::kDecide);
         scheduler_.decide_into(static_cast<PortId>(fabric_.hosts()),
                                candidates, decision_);
       }
+      lifecycle_.record_decision(candidates.size(),
+                                 decision_.selected.size());
       if (config_.validate_decisions) {
         BASRPT_ASSERT(sched::decision_is_matching(decision_, voqs_),
                       "scheduler violated the crossbar constraint");

@@ -389,7 +389,7 @@ void GreedyMatcher::match_lanes_into(const double* score, const PortId* left,
   if (n_left > 0xffff || n_right > 0xffff) {
     // Ports don't fit the 16-bit record fields: comparison-sort an index
     // permutation instead. Cold path — no real fabric has 64k ports.
-    perf::ScopedPhase sort_phase(perf::Phase::kMatchSort);
+    perf::ScopedPhase sort_phase(obs::Phase::kMatchSort);
     order_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       order_[i] = static_cast<std::uint32_t>(i);
@@ -418,7 +418,7 @@ void GreedyMatcher::match_lanes_into(const double* score, const PortId* left,
 
   bool in_recs = true;
   {
-    perf::ScopedPhase sort_phase(perf::Phase::kMatchSort);
+    perf::ScopedPhase sort_phase(obs::Phase::kMatchSort);
     if (n < kRadixThreshold) {
       recs_.resize(n);
       for (std::size_t i = 0; i < n; ++i) {

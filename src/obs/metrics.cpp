@@ -4,16 +4,52 @@
 
 namespace basrpt::obs {
 
-namespace {
-bool g_enabled = false;
+bool detail::g_enabled = false;
 
+namespace {
 /// Per-thread registry override; null means "record into global()".
 /// Written only by ScopedRegistryBind on the owning thread.
 thread_local Registry* t_bound_registry = nullptr;
 }  // namespace
 
-bool enabled() { return g_enabled; }
-void set_enabled(bool on) { g_enabled = on; }
+void set_enabled(bool on) { detail::g_enabled = on; }
+
+const char* phase_name(Phase phase) {
+  switch (phase) {
+    case Phase::kEventDispatch:
+      return "event_dispatch";
+    case Phase::kCalendarPush:
+      return "calendar_push";
+    case Phase::kCalendarPop:
+      return "calendar_pop";
+    case Phase::kDecide:
+      return "decide";
+    case Phase::kCandidateRepack:
+      return "candidate_repack";
+    case Phase::kLifecycleApply:
+      return "lifecycle_apply";
+    case Phase::kCheckpointWrite:
+      return "checkpoint_write";
+    case Phase::kScoreKernel:
+      return "score_kernel";
+    case Phase::kMatchSort:
+      return "match_sort";
+    case Phase::kRunChunk:
+      return "run_chunk";
+    case Phase::kCount:
+      break;
+  }
+  return "unknown";
+}
+
+void PhaseStats::merge_from(const PhaseStats& other) {
+  calls += other.calls;
+  total_ns += other.total_ns;
+  self_ns += other.self_ns;
+  allocs += other.allocs;
+  alloc_bytes += other.alloc_bytes;
+  ns.merge_from(other.ns);
+}
 
 Registry& Registry::global() {
   static Registry instance;
@@ -24,11 +60,32 @@ Registry& Registry::active() {
   return t_bound_registry != nullptr ? *t_bound_registry : global();
 }
 
+std::uint64_t Registry::phase_self_ns() const {
+  std::uint64_t total = 0;
+  for (const PhaseStats& row : phases_) {
+    total += row.self_ns;
+  }
+  return total;
+}
+
+bool Registry::empty() const {
+  for (const PhaseStats& row : phases_) {
+    if (row.calls != 0 || row.allocs != 0) {
+      return false;
+    }
+  }
+  return counters_.empty() && gauges_.empty() && histograms_.empty() &&
+         notes_.empty() && spans_.empty() && spans_dropped_ == 0;
+}
+
 void Registry::reset() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
   notes_.clear();
+  phases_.fill(PhaseStats{});
+  spans_.clear();
+  spans_dropped_ = 0;
 }
 
 void Registry::merge_from(const Registry& other) {
@@ -44,6 +101,13 @@ void Registry::merge_from(const Registry& other) {
   for (const auto& [name, note] : other.notes_) {
     notes_[name] = note;  // last write wins, like Gauge values
   }
+  for (std::size_t k = 0; k < kPhaseCount; ++k) {
+    phases_[k].merge_from(other.phases_[k]);
+  }
+  for (const Span& span : other.spans_) {
+    add_span(span);
+  }
+  spans_dropped_ += other.spans_dropped_;
 }
 
 ScopedRegistryBind::ScopedRegistryBind(Registry* shard)

@@ -1,5 +1,6 @@
-// Low-overhead run-health metrics: named counters, gauges, and log-scale
-// latency histograms collected in a Registry.
+// Low-overhead run-health metrics: named counters, gauges, log-scale
+// latency histograms, and a fixed table of hot-path phase timings,
+// collected in a Registry.
 //
 // Each simulation run is single-threaded, so none of this locks. The
 // parallel sweep runner (src/exec) gives every concurrent cell its own
@@ -10,20 +11,25 @@
 // never touch the RNG, the event calendar, or a scheduling decision, so
 // runs with and without observability produce bit-identical results. The
 // global enable flag keeps the off path to a single predictable branch
-// (ScopedTimer does not even read the clock when disabled).
+// (perf::ScopedPhase does not even read the clock when disabled).
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace basrpt::obs {
 
-/// Global instrumentation switch. Off by default; benches flip it on
-/// when --metrics/--trace is requested.
-bool enabled();
+namespace detail {
+extern bool g_enabled;
+}  // namespace detail
+
+/// Global instrumentation switch: arms every metric probe and phase
+/// timer. Off by default; benches flip it on for --metrics/--profile.
+/// Set it before worker threads start.
+inline bool enabled() { return detail::g_enabled; }
 void set_enabled(bool on);
 
 /// Monotonically increasing event count.
@@ -144,12 +150,45 @@ class LatencyHistogram {
   std::uint64_t max_ = 0;
 };
 
+/// The instrumented hot-path phases, timed by perf::ScopedPhase.
+/// kRunChunk wraps Engine::run_until and kEventDispatch each event
+/// callback, so the finer phases nest inside them; self time keeps the
+/// breakdown additive anyway.
+enum class Phase : std::uint8_t {
+  kEventDispatch,    // sim::Engine executing one event callback
+  kCalendarPush,     // sim::Engine::schedule_at calendar push
+  kCalendarPop,      // sim::Engine::step calendar pop
+  kDecide,           // Scheduler::decide_into at the simulator call site
+  kCandidateRepack,  // fabric::CandidateCache::refresh
+  kLifecycleApply,   // fabric::FlowLifecycle::apply_decision
+  kCheckpointWrite,  // ckpt::CheckpointManager durable write
+  kScoreKernel,      // simd score-key computation over candidate lanes
+  kMatchSort,        // GreedyMatcher candidate ordering (bucket/radix)
+  kRunChunk,         // one sim::Engine::run_until call
+  kCount
+};
+constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kCount);
+
+const char* phase_name(Phase phase);
+
+/// One phase's row in a Registry's phase table.
+struct PhaseStats {
+  std::uint64_t calls = 0;
+  std::uint64_t total_ns = 0;     // inclusive of nested phases
+  std::uint64_t self_ns = 0;      // exclusive: total minus nested phases
+  std::uint64_t allocs = 0;       // attributed while alloc counting is on
+  std::uint64_t alloc_bytes = 0;
+  LatencyHistogram ns;            // inclusive wall ns per call
+
+  /// Shard merge: everything adds, the histogram combines.
+  void merge_from(const PhaseStats& other);
+};
+
 /// Named-metric registry. Lookups return stable references (std::map
 /// nodes never move), so hot paths resolve a metric once and keep the
-/// pointer. `global()` is the process-wide instance; the simulators and
-/// the InstrumentedScheduler record into `active()`, which is global()
-/// unless the calling thread has bound a shard (ScopedRegistryBind).
-/// Tests construct their own.
+/// pointer. `global()` is the process-wide instance; the simulators
+/// record into `active()`, which is global() unless the calling thread
+/// has bound a shard (ScopedRegistryBind). Tests construct their own.
 class Registry {
  public:
   static Registry& global();
@@ -181,21 +220,47 @@ class Registry {
   }
   const std::map<std::string, std::string>& notes() const { return notes_; }
 
-  bool empty() const {
-    return counters_.empty() && gauges_.empty() && histograms_.empty() &&
-           notes_.empty();
+  /// The fixed phase table perf::ScopedPhase records into.
+  PhaseStats& phase(Phase p) { return phases_[static_cast<std::size_t>(p)]; }
+  const PhaseStats& phase(Phase p) const {
+    return phases_[static_cast<std::size_t>(p)];
   }
+  /// Sum of every phase's self time: the wall time the table explains.
+  std::uint64_t phase_self_ns() const;
+
+  /// One timed phase scope on the steady-clock timeline, kept only
+  /// while perf span recording is on (--profile with --trace).
+  struct Span {
+    Phase phase = Phase::kEventDispatch;
+    std::uint64_t start_ns = 0;
+    std::uint64_t dur_ns = 0;
+  };
+  static constexpr std::size_t kSpanLimit = 200000;
+  /// Keeps at most kSpanLimit spans; later ones are only counted, so a
+  /// truncated timeline is never silent.
+  void add_span(const Span& span) {
+    if (spans_.size() < kSpanLimit) {
+      spans_.push_back(span);
+    } else {
+      ++spans_dropped_;
+    }
+  }
+  const std::vector<Span>& spans() const { return spans_; }
+  std::uint64_t spans_dropped() const { return spans_dropped_; }
+
+  bool empty() const;
 
   /// Drops every metric (names included); used between test cases and by
   /// benches that run several experiments and want per-run numbers.
   void reset();
 
   /// Folds a shard's metrics into this registry. The per-type merge
-  /// rules (counters add, gauges last-write-wins, histograms combine)
-  /// make a sequence of merges in cell-submission order reproduce the
-  /// registry a sequential run would have built, and the operation is
-  /// associative: merging shard groups in any grouping — as long as the
-  /// overall order is preserved — yields the same registry.
+  /// rules (counters and phase rows add, gauges last-write-wins,
+  /// histograms combine, spans append) make a sequence of merges in
+  /// cell-submission order reproduce the registry a sequential run would
+  /// have built (wall-clock ns aside), and the operation is associative:
+  /// merging shard groups in any grouping — as long as the overall order
+  /// is preserved — yields the same registry.
   void merge_from(const Registry& other);
 
  private:
@@ -203,6 +268,9 @@ class Registry {
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, LatencyHistogram> histograms_;
   std::map<std::string, std::string> notes_;
+  std::array<PhaseStats, kPhaseCount> phases_{};
+  std::vector<Span> spans_;
+  std::uint64_t spans_dropped_ = 0;
 };
 
 /// Routes Registry::active() to `shard` for the lifetime of the binder,
@@ -219,42 +287,6 @@ class ScopedRegistryBind {
 
  private:
   Registry* previous_;
-};
-
-/// Records the wall-clock lifetime of a scope into a LatencyHistogram,
-/// in nanoseconds. Arms only when obs::enabled() (the off path never
-/// reads the clock) unless `always` forces it — the
-/// InstrumentedScheduler uses `always` because wrapping a scheduler is
-/// itself the opt-in.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(LatencyHistogram& hist, bool always = false)
-      : hist_((always || enabled()) ? &hist : nullptr) {
-    if (hist_ != nullptr) {
-      start_ = std::chrono::steady_clock::now();
-    }
-  }
-  ~ScopedTimer() { stop(); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// Records now instead of at scope exit; returns the elapsed
-  /// nanoseconds (0 when disarmed). Idempotent.
-  std::uint64_t stop() {
-    if (hist_ == nullptr) {
-      return 0;
-    }
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-    hist_->add(static_cast<std::uint64_t>(ns < 0 ? 0 : ns));
-    hist_ = nullptr;
-    return static_cast<std::uint64_t>(ns < 0 ? 0 : ns);
-  }
-
- private:
-  LatencyHistogram* hist_;
-  std::chrono::steady_clock::time_point start_{};
 };
 
 }  // namespace basrpt::obs

@@ -2,12 +2,9 @@
 
 #include <unistd.h>
 
-#include <cmath>
 #include <ctime>
 #include <cstdlib>
 #include <fstream>
-#include <set>
-#include <sstream>
 #include <thread>
 
 #include "common/assert.hpp"
@@ -66,22 +63,6 @@ std::string detect_cpu() {
     }
   }
   return "unknown";
-}
-
-double number_at(const json::Value& obj, const std::string& key,
-                 const std::string& context) {
-  const json::Value& v = obj.at(key);
-  BASRPT_REQUIRE(v.is_number(),
-                 context + ": member '" + key + "' must be a number");
-  return v.as_number();
-}
-
-std::string string_at(const json::Value& obj, const std::string& key,
-                      const std::string& context) {
-  const json::Value& v = obj.at(key);
-  BASRPT_REQUIRE(v.is_string(),
-                 context + ": member '" + key + "' must be a string");
-  return v.as_string();
 }
 
 }  // namespace
@@ -153,72 +134,12 @@ json::Value record_to_json(const BenchRecord& record) {
   return doc;
 }
 
-BenchRecord record_from_json(const json::Value& doc,
-                             const std::string& context) {
-  BASRPT_REQUIRE(doc.is_object(), context + ": record must be a JSON object");
-  const std::string schema = string_at(doc, "schema", context);
-  BASRPT_REQUIRE(schema == kBenchSchema,
-                 context + ": unsupported schema '" + schema + "' (want " +
-                     kBenchSchema + ")");
-  BenchRecord record;
-  record.schema = schema;
-  record.name = string_at(doc, "name", context);
-  record.commit = string_at(doc, "commit", context);
-  const json::Value& host = doc.at("host");
-  BASRPT_REQUIRE(host.is_object(), context + ": 'host' must be an object");
-  record.host = string_at(host, "hostname", context);
-  record.cpu = string_at(host, "cpu", context);
-  record.hw_threads =
-      static_cast<int>(number_at(host, "hw_threads", context));
-  record.generated_unix =
-      static_cast<std::int64_t>(number_at(doc, "generated_unix", context));
-  record.warmup = static_cast<int>(number_at(doc, "warmup", context));
-  record.reps = static_cast<int>(number_at(doc, "reps", context));
-  const json::Value& cases = doc.at("cases");
-  BASRPT_REQUIRE(cases.is_array(), context + ": 'cases' must be an array");
-  std::set<std::string> labels;
-  for (const json::Value& entry : cases.items()) {
-    BASRPT_REQUIRE(entry.is_object(),
-                   context + ": each case must be an object");
-    BenchCase c;
-    c.label = string_at(entry, "label", context);
-    BASRPT_REQUIRE(labels.insert(c.label).second,
-                   context + ": duplicate case label '" + c.label + "'");
-    const json::Value& params = entry.at("params");
-    BASRPT_REQUIRE(params.is_object(),
-                   context + ": case 'params' must be an object");
-    for (const auto& [key, value] : params.members()) {
-      BASRPT_REQUIRE(value.is_string(),
-                     context + ": param '" + key + "' must be a string");
-      c.params.emplace_back(key, value.as_string());
-    }
-    const json::Value& metrics = entry.at("metrics");
-    BASRPT_REQUIRE(metrics.is_object(),
-                   context + ": case 'metrics' must be an object");
-    for (const auto& [key, value] : metrics.members()) {
-      BASRPT_REQUIRE(value.is_number(),
-                     context + ": metric '" + key + "' must be a number");
-      c.metrics.emplace_back(key, value.as_number());
-    }
-    record.cases.push_back(std::move(c));
-  }
-  return record;
-}
-
 void write_record_file(const std::string& path, const BenchRecord& record) {
   std::ofstream out(path);
   BASRPT_REQUIRE(out.good(), "cannot open bench record file: " + path);
   out << record_to_json(record).serialize(2);
   out.flush();
   BASRPT_REQUIRE(out.good(), "failed writing bench record file: " + path);
-}
-
-BenchRecord read_record_file(const std::string& path) {
-  std::ifstream in(path);
-  BASRPT_REQUIRE(in.good(), "cannot open bench record file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return record_from_json(json::parse(buf.str(), path), path);
 }
 
 }  // namespace basrpt::perf

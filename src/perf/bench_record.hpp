@@ -5,9 +5,9 @@
 // enough provenance (commit, host fingerprint, repetition discipline)
 // to judge whether two records are comparable. Records are written to
 // BENCH_<name>.json; committed baselines live at the repo root and the
-// regression gate (src/perf/gate, scripts/perf_gate.py) diffs fresh
-// runs against them. See docs/PERF.md for the schema and the metric
-// naming convention the gate's direction inference relies on.
+// regression gate (scripts/perf_gate.py) diffs fresh runs against them.
+// See docs/PERF.md for the schema and the metric naming convention the
+// gate's direction inference relies on.
 #pragma once
 
 #include <string>
@@ -62,15 +62,6 @@ BenchRecord make_record(const std::string& name, int warmup, int reps);
 
 json::Value record_to_json(const BenchRecord& record);
 
-/// Validating reader: rejects a wrong/missing schema tag, missing
-/// required fields, duplicate case labels, and mistyped members with
-/// ConfigError; byte-level corruption surfaces as the JSON parser's
-/// line-numbered ParseError. Unknown members are ignored (forward
-/// compatibility within v1).
-BenchRecord record_from_json(const json::Value& doc,
-                             const std::string& context);
-
 void write_record_file(const std::string& path, const BenchRecord& record);
-BenchRecord read_record_file(const std::string& path);
 
 }  // namespace basrpt::perf

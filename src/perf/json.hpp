@@ -1,13 +1,12 @@
-// Minimal JSON document model for the perf subsystem.
+// Minimal JSON document model: the one JSON writer of the project.
 //
-// BENCH_*.json records and basrpt-profile-v1 breakdowns need to be both
-// written and *read back* (round-trips, the regression gate, trajectory
-// tooling) without external dependencies, so this is a small
-// recursive-descent parser plus a deterministic serializer. The reader
-// follows the trace_io hardening conventions: every malformed input
-// throws basrpt::ParseError carrying the 1-based line number, including
-// truncation (unterminated strings/containers) and trailing garbage.
-// Object member order is preserved, so serialize(parse(x)) is stable.
+// BENCH_*.json records, basrpt-profile-v1 breakdowns, the --metrics
+// report and basrptd's SLO report are all built as Values and written by
+// one deterministic serializer, so escaping and number formatting live
+// in one place: integers print exactly, everything else with %.17g
+// (enough digits to round-trip through strtod). Object member order is
+// insertion order. Reading records back is the regression gate's job
+// (scripts/perf_gate.py).
 #pragma once
 
 #include <cstddef>
@@ -19,8 +18,6 @@ namespace basrpt::perf::json {
 
 class Value {
  public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
   Value() = default;  // null
   static Value boolean(bool b);
   static Value number(double v);
@@ -28,17 +25,8 @@ class Value {
   static Value array();
   static Value object();
 
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_object() const { return kind_ == Kind::kObject; }
-
-  /// Typed accessors; throw ConfigError on kind mismatch so schema
-  /// readers get a diagnosable error instead of garbage.
-  bool as_bool() const;
+  /// Typed accessors; throw ConfigError on kind mismatch so callers
+  /// reading a document back get a diagnosable error, not garbage.
   double as_number() const;
   const std::string& as_string() const;
 
@@ -59,6 +47,8 @@ class Value {
   std::string serialize(int indent = 0) const;
 
  private:
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+
   void serialize_to(std::string& out, int indent, int depth) const;
 
   Kind kind_ = Kind::kNull;
@@ -68,11 +58,5 @@ class Value {
   std::vector<Value> items_;
   std::vector<std::pair<std::string, Value>> members_;
 };
-
-/// Parses one JSON document. `context` names the source (a path) for
-/// ParseError messages. Rejects trailing non-whitespace, nesting deeper
-/// than 64 levels, and every malformed construct with the offending
-/// line number.
-Value parse(const std::string& text, const std::string& context);
 
 }  // namespace basrpt::perf::json

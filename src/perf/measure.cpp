@@ -1,7 +1,6 @@
 #include "perf/measure.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <vector>
 
@@ -12,13 +11,6 @@
 namespace basrpt::perf {
 
 namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Rounds to the 1-2-5 ladder so two runs whose calibration probes
 /// differ by a few percent still pick identical iteration counts.

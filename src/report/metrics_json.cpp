@@ -1,68 +1,61 @@
 #include "report/metrics_json.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
 #include "common/assert.hpp"
+#include "perf/json.hpp"
 
 namespace basrpt::report {
 
 namespace {
 
-/// Metric names are code-controlled identifiers, but escape the JSON
-/// specials anyway so a stray name can't corrupt the document.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+using perf::json::Value;
+
+Value integer(std::uint64_t v) {
+  return Value::number(static_cast<double>(v));
 }
 
-void write_histogram_json(std::ostream& out,
-                          const obs::LatencyHistogram& h) {
-  out << "{\"count\":" << h.count() << ",\"sum\":" << h.sum()
-      << ",\"min\":" << h.min() << ",\"max\":" << h.max()
-      << ",\"mean\":" << h.mean() << ",\"p50\":" << h.quantile(0.5)
-      << ",\"p90\":" << h.quantile(0.9) << ",\"p99\":" << h.quantile(0.99)
-      << ",\"p999\":" << h.quantile(0.999)
-      << ",\"p9999\":" << h.quantile(0.9999) << ",\"buckets\":[";
-  bool first = true;
+Value histogram_json(const obs::LatencyHistogram& h) {
+  Value doc = Value::object();
+  doc.set("count", integer(h.count()));
+  doc.set("sum", integer(h.sum()));
+  doc.set("min", integer(h.min()));
+  doc.set("max", integer(h.max()));
+  doc.set("mean", Value::number(h.mean()));
+  doc.set("p50", Value::number(h.quantile(0.5)));
+  doc.set("p90", Value::number(h.quantile(0.9)));
+  doc.set("p99", Value::number(h.quantile(0.99)));
+  doc.set("p999", Value::number(h.quantile(0.999)));
+  doc.set("p9999", Value::number(h.quantile(0.9999)));
+  Value buckets = Value::array();
   for (std::size_t k = 0; k < obs::LatencyHistogram::kBuckets; ++k) {
     if (h.bucket_count(k) == 0) {
       continue;
     }
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    out << "{\"lo\":" << obs::LatencyHistogram::bucket_lower(k)
-        << ",\"count\":" << h.bucket_count(k) << "}";
+    Value bucket = Value::object();
+    bucket.set("lo", integer(obs::LatencyHistogram::bucket_lower(k)));
+    bucket.set("count", integer(h.bucket_count(k)));
+    buckets.push(std::move(bucket));
   }
-  out << "]}";
+  doc.set("buckets", std::move(buckets));
+  return doc;
+}
+
+void write_histogram_csv(std::ostream& out, const char* kind,
+                         const std::string& name,
+                         const obs::LatencyHistogram& h) {
+  const std::string row = std::string(kind) + "," + name + ",";
+  out << row << "count," << h.count() << "\n";
+  out << row << "sum," << h.sum() << "\n";
+  out << row << "min," << h.min() << "\n";
+  out << row << "max," << h.max() << "\n";
+  out << row << "mean," << h.mean() << "\n";
+  out << row << "p50," << h.quantile(0.5) << "\n";
+  out << row << "p90," << h.quantile(0.9) << "\n";
+  out << row << "p99," << h.quantile(0.99) << "\n";
+  out << row << "p999," << h.quantile(0.999) << "\n";
+  out << row << "p9999," << h.quantile(0.9999) << "\n";
 }
 
 /// Note values are free-form text (stall diagnostics carry commas), so
@@ -92,36 +85,49 @@ std::ofstream open_or_throw(const std::string& path) {
 
 void write_metrics_json(std::ostream& out, const obs::Registry& registry,
                         const std::string& status) {
-  out << "{\n\"status\":\"" << json_escape(status) << "\",\n\"counters\":{";
-  bool first = true;
+  Value doc = Value::object();
+  doc.set("status", Value::string(status));
+  Value counters = Value::object();
   for (const auto& [name, counter] : registry.counters()) {
-    out << (first ? "" : ",") << "\n\"" << json_escape(name)
-        << "\":" << counter.value();
-    first = false;
+    counters.set(name, Value::number(static_cast<double>(counter.value())));
   }
-  out << "\n},\n\"gauges\":{";
-  first = true;
+  doc.set("counters", std::move(counters));
+  Value gauges = Value::object();
   for (const auto& [name, gauge] : registry.gauges()) {
-    out << (first ? "" : ",") << "\n\"" << json_escape(name)
-        << "\":{\"value\":" << gauge.value() << ",\"max\":" << gauge.max()
-        << "}";
-    first = false;
+    Value g = Value::object();
+    g.set("value", Value::number(gauge.value()));
+    g.set("max", Value::number(gauge.max()));
+    gauges.set(name, std::move(g));
   }
-  out << "\n},\n\"histograms\":{";
-  first = true;
+  doc.set("gauges", std::move(gauges));
+  Value histograms = Value::object();
   for (const auto& [name, hist] : registry.histograms()) {
-    out << (first ? "" : ",") << "\n\"" << json_escape(name) << "\":";
-    write_histogram_json(out, hist);
-    first = false;
+    histograms.set(name, histogram_json(hist));
   }
-  out << "\n},\n\"notes\":{";
-  first = true;
+  doc.set("histograms", std::move(histograms));
+  Value phases = Value::object();
+  for (std::size_t k = 0; k < obs::kPhaseCount; ++k) {
+    const auto phase = static_cast<obs::Phase>(k);
+    const obs::PhaseStats& s = registry.phase(phase);
+    if (s.calls == 0 && s.allocs == 0) {
+      continue;
+    }
+    Value row = Value::object();
+    row.set("calls", integer(s.calls));
+    row.set("total_ns", integer(s.total_ns));
+    row.set("self_ns", integer(s.self_ns));
+    row.set("allocs", integer(s.allocs));
+    row.set("alloc_bytes", integer(s.alloc_bytes));
+    row.set("ns", histogram_json(s.ns));
+    phases.set(obs::phase_name(phase), std::move(row));
+  }
+  doc.set("phases", std::move(phases));
+  Value notes = Value::object();
   for (const auto& [name, note] : registry.notes()) {
-    out << (first ? "" : ",") << "\n\"" << json_escape(name) << "\":\""
-        << json_escape(note) << "\"";
-    first = false;
+    notes.set(name, Value::string(note));
   }
-  out << "\n}\n}\n";
+  doc.set("notes", std::move(notes));
+  out << doc.serialize(2);
 }
 
 void write_metrics_csv(std::ostream& out, const obs::Registry& registry,
@@ -136,16 +142,21 @@ void write_metrics_csv(std::ostream& out, const obs::Registry& registry,
     out << "gauge," << name << ",max," << gauge.max() << "\n";
   }
   for (const auto& [name, hist] : registry.histograms()) {
-    out << "histogram," << name << ",count," << hist.count() << "\n";
-    out << "histogram," << name << ",sum," << hist.sum() << "\n";
-    out << "histogram," << name << ",min," << hist.min() << "\n";
-    out << "histogram," << name << ",max," << hist.max() << "\n";
-    out << "histogram," << name << ",mean," << hist.mean() << "\n";
-    out << "histogram," << name << ",p50," << hist.quantile(0.5) << "\n";
-    out << "histogram," << name << ",p90," << hist.quantile(0.9) << "\n";
-    out << "histogram," << name << ",p99," << hist.quantile(0.99) << "\n";
-    out << "histogram," << name << ",p999," << hist.quantile(0.999) << "\n";
-    out << "histogram," << name << ",p9999," << hist.quantile(0.9999) << "\n";
+    write_histogram_csv(out, "histogram", name, hist);
+  }
+  for (std::size_t k = 0; k < obs::kPhaseCount; ++k) {
+    const auto phase = static_cast<obs::Phase>(k);
+    const obs::PhaseStats& s = registry.phase(phase);
+    if (s.calls == 0 && s.allocs == 0) {
+      continue;
+    }
+    const std::string name = obs::phase_name(phase);
+    out << "phase," << name << ",calls," << s.calls << "\n";
+    out << "phase," << name << ",total_ns," << s.total_ns << "\n";
+    out << "phase," << name << ",self_ns," << s.self_ns << "\n";
+    out << "phase," << name << ",allocs," << s.allocs << "\n";
+    out << "phase," << name << ",alloc_bytes," << s.alloc_bytes << "\n";
+    write_histogram_csv(out, "phase", name + ".ns", s.ns);
   }
   for (const auto& [name, note] : registry.notes()) {
     out << "note," << name << ",value," << csv_quote(note) << "\n";

@@ -1,8 +1,10 @@
 // Exporters for the obs metrics registry.
 //
 // JSON for machine consumption (one document: counters, gauges,
-// histograms with their log-scale buckets and derived quantiles) and a
-// flat CSV (kind,name,field,value) for spreadsheets / quick grep.
+// histograms with their log-scale buckets and derived quantiles, the
+// phase table, notes — written through perf::json::Value, so numbers
+// round-trip exactly) and a flat CSV (kind,name,field,value) for
+// spreadsheets / quick grep.
 #pragma once
 
 #include <iosfwd>

@@ -46,7 +46,7 @@ void DistributedBasrptScheduler::decide_into(PortId n_ports,
   }
   key_.resize(n_cand);
   {
-    perf::ScopedPhase phase(perf::Phase::kScoreKernel);
+    perf::ScopedPhase phase(obs::Phase::kScoreKernel);
     simd::compute_keys(simd::KeyOp::kFastBasrpt, weight, 0.0,
                        candidates.shortest_remaining(), candidates.backlog(),
                        n_cand, key_.data());

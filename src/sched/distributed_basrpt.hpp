@@ -22,8 +22,6 @@ namespace basrpt::sched {
 
 class DistributedBasrptScheduler final : public Scheduler {
  public:
-  using Scheduler::decide_into;
-
   /// `rounds` request/grant iterations per decision (hardware budget).
   DistributedBasrptScheduler(double v, int rounds);
 

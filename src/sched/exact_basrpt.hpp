@@ -15,8 +15,6 @@ namespace basrpt::sched {
 
 class ExactBasrptScheduler final : public Scheduler {
  public:
-  using Scheduler::decide_into;
-
   /// `max_ports` guards against accidental exponential blow-up.
   explicit ExactBasrptScheduler(double v, PortId max_ports = 10);
 

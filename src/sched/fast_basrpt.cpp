@@ -27,7 +27,7 @@ void FastBasrptScheduler::decide_into(PortId n_ports,
   {
     // The per-VOQ SRPT representative also minimizes this key within its
     // VOQ (the backlog term is common to all the VOQ's flows).
-    perf::ScopedPhase phase(perf::Phase::kScoreKernel);
+    perf::ScopedPhase phase(obs::Phase::kScoreKernel);
     simd::compute_keys(simd::KeyOp::kFastBasrpt, weight, 0.0,
                        candidates.shortest_remaining(), candidates.backlog(),
                        n, keys_.data());

@@ -13,8 +13,6 @@ namespace basrpt::sched {
 
 class MaxWeightScheduler final : public Scheduler {
  public:
-  using Scheduler::decide_into;
-
   std::string name() const override { return "maxweight"; }
   bool needs_arrival_lane() const override { return false; }
   void decide_into(PortId n_ports, const CandidateView& candidates,

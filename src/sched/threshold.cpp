@@ -30,7 +30,7 @@ void ThresholdSrptScheduler::decide_into(PortId n_ports,
   const std::size_t n = candidates.size();
   keys_.resize(n);
   {
-    perf::ScopedPhase phase(perf::Phase::kScoreKernel);
+    perf::ScopedPhase phase(obs::Phase::kScoreKernel);
     simd::compute_keys(simd::KeyOp::kThresholdSrpt, threshold_, kClassOffset,
                        candidates.shortest_remaining(), candidates.backlog(),
                        n, keys_.data());

@@ -14,8 +14,6 @@ namespace basrpt::sched {
 
 class ThresholdSrptScheduler final : public Scheduler {
  public:
-  using Scheduler::decide_into;
-
   /// `threshold_packets`: VOQ backlog (in packets) beyond which the VOQ's
   /// flows are promoted.
   explicit ThresholdSrptScheduler(double threshold_packets);

@@ -1,6 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <chrono>
 #include <memory>
 #include <utility>
 
@@ -16,7 +15,7 @@ EventId Engine::schedule_at(SimTime t, EventFn fn) {
   BASRPT_ASSERT(static_cast<bool>(fn), "event callback must be set");
   const EventId id = next_id_++;
   {
-    const perf::ScopedPhase phase(perf::Phase::kCalendarPush);
+    const perf::ScopedPhase phase(obs::Phase::kCalendarPush);
     calendar_.push(t, id, std::move(fn));
   }
   if (calendar_.size() > peak_pending_) {
@@ -31,10 +30,9 @@ EventId Engine::schedule_in(SimTime delay, EventFn fn) {
 }
 
 std::uint64_t Engine::run_until(SimTime horizon) {
-  // Observability is passive: the timer and heartbeat only *read* state,
-  // and neither can reorder events or touch callers' RNGs.
-  obs::ScopedTimer chunk_timer(
-      obs::Registry::active().histogram("sim.run_chunk_ns"));
+  // Observability is passive: the phase timer and heartbeat only *read*
+  // state, and neither can reorder events or touch callers' RNGs.
+  const perf::ScopedPhase chunk(obs::Phase::kRunChunk);
   std::uint64_t ran = 0;
   while (!calendar_.empty() && calendar_.min_time() <= horizon) {
     step();
@@ -86,14 +84,14 @@ bool Engine::step() {
   // The ladder queue pops by move, so the callback (and any move-only
   // state it owns) transfers out without a copy or an allocation.
   LadderQueue::Entry entry = [this] {
-    const perf::ScopedPhase phase(perf::Phase::kCalendarPop);
+    const perf::ScopedPhase phase(obs::Phase::kCalendarPop);
     return calendar_.pop_min();
   }();
   BASRPT_ASSERT(entry.t >= now_, "event queue produced an event in the past");
   now_ = entry.t;
   ++executed_;
   {
-    const perf::ScopedPhase phase(perf::Phase::kEventDispatch);
+    const perf::ScopedPhase phase(obs::Phase::kEventDispatch);
     entry.fn();
   }
   return true;

@@ -1,57 +1,29 @@
 #include "srv/slo.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
+#include <string>
 
 #include "common/assert.hpp"
 #include "obs/metrics.hpp"
+#include "perf/json.hpp"
 
 namespace basrpt::srv {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using perf::json::Value;
 
 double ns_to_ms(double ns) { return ns / 1e6; }
 
-void write_tenant_map(std::ostream& out,
-                      const std::map<std::int32_t, std::int64_t>& by_tenant) {
-  out << "{";
-  bool first = true;
+Value integer(std::int64_t v) { return Value::number(static_cast<double>(v)); }
+
+Value tenant_map(const std::map<std::int32_t, std::int64_t>& by_tenant) {
+  Value doc = Value::object();
   for (const auto& [tenant, count] : by_tenant) {
-    out << (first ? "" : ",") << "\"" << tenant << "\":" << count;
-    first = false;
+    doc.set(std::to_string(tenant), integer(count));
   }
-  out << "}";
+  return doc;
 }
 
 }  // namespace
@@ -102,55 +74,62 @@ void write_slo_json(std::ostream& out, const SloTracker& slo,
                         static_cast<double>(offered)
                   : 0.0;
 
-  out << "{\n";
-  out << "\"report\":\"basrpt-slo-v1\",\n";
-  out << "\"status\":\"" << json_escape(totals.status) << "\",\n";
-  out << "\"resumed\":" << (totals.resumed ? "true" : "false") << ",\n";
-  out << "\"feed_seconds\":" << totals.feed_seconds << ",\n";
-  out << "\"wall_seconds\":" << totals.wall_seconds << ",\n";
-  out << "\"decisions\":{"
-      << "\"count\":" << d.count() << ",\"per_sec\":" << dps
-      << ",\"mean_ms\":" << ns_to_ms(d.mean())
-      << ",\"p50_ms\":" << ns_to_ms(d.quantile(0.5))
-      << ",\"p99_ms\":" << ns_to_ms(d.quantile(0.99))
-      << ",\"p999_ms\":" << ns_to_ms(d.quantile(0.999))
-      << ",\"max_ms\":" << ns_to_ms(static_cast<double>(d.max()))
-      << ",\"deadline_misses\":" << slo.deadline_misses() << "},\n";
-  out << "\"admission\":{"
-      << "\"offered\":" << offered << ",\"admitted\":" << slo.admitted()
-      << ",\"shed\":" << slo.shed() << ",\"shed_rate\":" << shed_rate
-      << ",\"last_shed_sec\":" << slo.last_shed_sec()
-      << ",\"admitted_by_tenant\":";
-  write_tenant_map(out, slo.admitted_by_tenant());
-  out << ",\"shed_by_tenant\":";
-  write_tenant_map(out, slo.shed_by_tenant());
-  out << "},\n";
-  out << "\"queue\":{\"depth_peak\":" << slo.queue_depth_peak() << "},\n";
-  out << "\"flows\":{"
-      << "\"records_consumed\":" << totals.records_consumed
-      << ",\"arrived\":" << totals.flows_arrived
-      << ",\"completed\":" << totals.flows_completed
-      << ",\"active_at_end\":" << totals.active_flows_at_end << "},\n";
-  out << "\"bytes\":{"
-      << "\"delivered\":" << totals.delivered_bytes
-      << ",\"backlog_at_end\":" << totals.backlog_bytes_at_end << "},\n";
-  out << "\"scheduler_invocations\":" << totals.scheduler_invocations
-      << ",\n";
-  out << "\"health\":{"
-      << "\"final_state\":\"" << health_state_name(health.state()) << "\""
-      << ",\"shed_entries\":" << health.shed_entries()
-      << ",\"probe_delay_sec\":" << health.probe_delay_sec()
-      << ",\"transitions\":[";
-  bool first = true;
+  Value doc = Value::object();
+  doc.set("report", Value::string("basrpt-slo-v1"));
+  doc.set("status", Value::string(totals.status));
+  doc.set("resumed", Value::boolean(totals.resumed));
+  doc.set("feed_seconds", Value::number(totals.feed_seconds));
+  doc.set("wall_seconds", Value::number(totals.wall_seconds));
+  Value decisions = Value::object();
+  decisions.set("count", integer(static_cast<std::int64_t>(d.count())));
+  decisions.set("per_sec", Value::number(dps));
+  decisions.set("mean_ms", Value::number(ns_to_ms(d.mean())));
+  decisions.set("p50_ms", Value::number(ns_to_ms(d.quantile(0.5))));
+  decisions.set("p99_ms", Value::number(ns_to_ms(d.quantile(0.99))));
+  decisions.set("p999_ms", Value::number(ns_to_ms(d.quantile(0.999))));
+  decisions.set("max_ms",
+                Value::number(ns_to_ms(static_cast<double>(d.max()))));
+  decisions.set("deadline_misses", integer(slo.deadline_misses()));
+  doc.set("decisions", std::move(decisions));
+  Value admission = Value::object();
+  admission.set("offered", integer(offered));
+  admission.set("admitted", integer(slo.admitted()));
+  admission.set("shed", integer(slo.shed()));
+  admission.set("shed_rate", Value::number(shed_rate));
+  admission.set("last_shed_sec", Value::number(slo.last_shed_sec()));
+  admission.set("admitted_by_tenant", tenant_map(slo.admitted_by_tenant()));
+  admission.set("shed_by_tenant", tenant_map(slo.shed_by_tenant()));
+  doc.set("admission", std::move(admission));
+  Value queue = Value::object();
+  queue.set("depth_peak", integer(slo.queue_depth_peak()));
+  doc.set("queue", std::move(queue));
+  Value flows = Value::object();
+  flows.set("records_consumed", integer(totals.records_consumed));
+  flows.set("arrived", integer(totals.flows_arrived));
+  flows.set("completed", integer(totals.flows_completed));
+  flows.set("active_at_end", integer(totals.active_flows_at_end));
+  doc.set("flows", std::move(flows));
+  Value bytes = Value::object();
+  bytes.set("delivered", integer(totals.delivered_bytes));
+  bytes.set("backlog_at_end", integer(totals.backlog_bytes_at_end));
+  doc.set("bytes", std::move(bytes));
+  doc.set("scheduler_invocations", integer(totals.scheduler_invocations));
+  Value h = Value::object();
+  h.set("final_state", Value::string(health_state_name(health.state())));
+  h.set("shed_entries", integer(health.shed_entries()));
+  h.set("probe_delay_sec", Value::number(health.probe_delay_sec()));
+  Value transitions = Value::array();
   for (const HealthTransition& t : health.transitions()) {
-    out << (first ? "" : ",") << "\n {\"time_sec\":" << t.time_sec
-        << ",\"from\":\"" << health_state_name(t.from) << "\",\"to\":\""
-        << health_state_name(t.to) << "\",\"reason\":\""
-        << json_escape(t.reason) << "\"}";
-    first = false;
+    Value entry = Value::object();
+    entry.set("time_sec", Value::number(t.time_sec));
+    entry.set("from", Value::string(health_state_name(t.from)));
+    entry.set("to", Value::string(health_state_name(t.to)));
+    entry.set("reason", Value::string(t.reason));
+    transitions.push(std::move(entry));
   }
-  out << (first ? "" : "\n") << "]}\n";
-  out << "}\n";
+  h.set("transitions", std::move(transitions));
+  doc.set("health", std::move(h));
+  out << doc.serialize(2);
 }
 
 void write_slo_json_file(const std::string& path, const SloTracker& slo,

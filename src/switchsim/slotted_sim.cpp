@@ -278,9 +278,10 @@ SlottedResult run_slotted(const SlottedConfig& config,
     } else if (!candidates.empty()) {
       ++result.scheduler_invocations;
       {
-        const perf::ScopedPhase phase(perf::Phase::kDecide);
+        const perf::ScopedPhase phase(obs::Phase::kDecide);
         scheduler.decide_into(config.n_ports, candidates, decision);
       }
+      lifecycle.record_decision(candidates.size(), decision.selected.size());
       BASRPT_ASSERT(sched::decision_is_matching(decision, voqs),
                     "scheduler violated the crossbar constraint");
     }

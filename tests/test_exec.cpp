@@ -122,18 +122,30 @@ TEST(CellPool, CommitExceptionStopsTheRun) {
 
 // ------------------------------------------------------ registry merge
 
+void record_phase(obs::Registry& r, obs::Phase phase, std::uint64_t ns) {
+  obs::PhaseStats& row = r.phase(phase);
+  ++row.calls;
+  row.total_ns += ns;
+  row.self_ns += ns;
+  row.ns.add(ns);
+  r.add_span({phase, ns, ns});
+}
+
 void fill_shard_a(obs::Registry& r) {
   r.counter("events").add(10);
   r.counter("only_a").add(2);
   r.gauge("level").set(1.5);
   r.histogram("lat").add(100);
   r.histogram("lat").add(7);
+  record_phase(r, obs::Phase::kDecide, 40);
 }
 
 void fill_shard_b(obs::Registry& r) {
   r.counter("events").add(5);
   r.gauge("level").set(0.5);  // last write; peak stays 1.5 after merge
   r.histogram("lat").add(900000);
+  record_phase(r, obs::Phase::kDecide, 60);
+  record_phase(r, obs::Phase::kMatchSort, 5);
 }
 
 void expect_equal(const obs::Registry& x, const obs::Registry& y) {
@@ -160,6 +172,18 @@ void expect_equal(const obs::Registry& x, const obs::Registry& y) {
       EXPECT_EQ(h.bucket_count(k), o.bucket_count(k)) << name << "/" << k;
     }
   }
+  for (std::size_t k = 0; k < obs::kPhaseCount; ++k) {
+    const obs::PhaseStats& p = x.phase(static_cast<obs::Phase>(k));
+    const obs::PhaseStats& q = y.phase(static_cast<obs::Phase>(k));
+    EXPECT_EQ(p.calls, q.calls) << k;
+    EXPECT_EQ(p.total_ns, q.total_ns) << k;
+    EXPECT_EQ(p.self_ns, q.self_ns) << k;
+    EXPECT_EQ(p.ns.count(), q.ns.count()) << k;
+  }
+  ASSERT_EQ(x.spans().size(), y.spans().size());
+  for (std::size_t i = 0; i < x.spans().size(); ++i) {
+    EXPECT_EQ(x.spans()[i].start_ns, y.spans()[i].start_ns) << i;
+  }
 }
 
 TEST(RegistryMerge, ShardMergeReproducesSequentialRecording) {
@@ -179,6 +203,9 @@ TEST(RegistryMerge, ShardMergeReproducesSequentialRecording) {
   EXPECT_EQ(merged.gauges().at("level").max(), 1.5);
   EXPECT_EQ(merged.histograms().at("lat").count(), 3u);
   EXPECT_EQ(merged.histograms().at("lat").min(), 7u);
+  EXPECT_EQ(merged.phase(obs::Phase::kDecide).calls, 2u);
+  EXPECT_EQ(merged.phase(obs::Phase::kDecide).self_ns, 100u);
+  EXPECT_EQ(merged.spans().size(), 3u);
   EXPECT_EQ(merged.histograms().at("lat").max(), 900000u);
 }
 
@@ -466,6 +493,56 @@ TEST(RunSession, ResumesAStoredPrefixInsideAParallelSweep) {
       expect_same_result(resumed[i], reference[i]);
     }
   }
+}
+
+/// One --profile --metrics session over four cells at `jobs`; returns
+/// the merged global registry it wrote.
+obs::Registry profiled_sweep(const std::string& jobs,
+                             const std::string& metrics_path) {
+  CliParser cli("test_exec", "profiled");
+  const char* argv[] = {"test_exec", "--profile", "--metrics",
+                        metrics_path.c_str(), "--jobs", jobs.c_str()};
+  EXPECT_TRUE(bench::parse_common(cli, 6, argv));
+  bench::RunSession session(cli, "exec_profile", 4, seconds(1.0));
+  run_session_sweep(session, 4);
+  session.finish();
+  return obs::Registry::global();
+}
+
+TEST(RunSession, ProfiledSweepCountsAreExactAtAnyJobs) {
+  TempDir tmp;
+  fs::create_directories(tmp.path);
+  const bool was_enabled = obs::enabled();
+  const obs::Registry seq =
+      profiled_sweep("1", (tmp.path / "j1.json").string());
+  const obs::Registry par =
+      profiled_sweep("4", (tmp.path / "j4.json").string());
+  obs::set_enabled(was_enabled);
+  obs::Registry::global().reset();
+
+  // Phase timings ride the per-cell shards: call counts, counters and
+  // histogram counts merge exactly; only wall-clock ns may differ.
+  EXPECT_GT(seq.phase(obs::Phase::kDecide).calls, 0u);
+  for (std::size_t k = 0; k < obs::kPhaseCount; ++k) {
+    const auto phase = static_cast<obs::Phase>(k);
+    EXPECT_EQ(seq.phase(phase).calls, par.phase(phase).calls)
+        << obs::phase_name(phase);
+    EXPECT_EQ(seq.phase(phase).ns.count(), par.phase(phase).ns.count())
+        << obs::phase_name(phase);
+  }
+  ASSERT_EQ(seq.counters().size(), par.counters().size());
+  for (const auto& [name, counter] : seq.counters()) {
+    ASSERT_TRUE(par.counters().count(name)) << name;
+    EXPECT_EQ(counter.value(), par.counters().at(name).value()) << name;
+  }
+  ASSERT_EQ(seq.histograms().size(), par.histograms().size());
+  for (const auto& [name, hist] : seq.histograms()) {
+    ASSERT_TRUE(par.histograms().count(name)) << name;
+    EXPECT_EQ(hist.count(), par.histograms().at(name).count()) << name;
+  }
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                seq.counters().at("sched.decisions").value()),
+            seq.phase(obs::Phase::kDecide).calls);
 }
 
 // ------------------------------------------------- scheduler spec text

@@ -30,6 +30,15 @@ using queueing::FlowId;
 using queueing::VoqMatrix;
 using sched::PortId;
 
+/// Decides over AoS candidates from sched::build_candidates, the
+/// reference candidate builder.
+sched::Decision decide_aos(sched::Scheduler& scheduler, PortId n_ports,
+                           const std::vector<sched::VoqCandidate>& candidates) {
+  sched::CandidateSoA soa;
+  return scheduler.decide(n_ports,
+                          sched::CandidateView::from_aos(candidates, soa));
+}
+
 Flow make_flow(FlowId id, PortId src, PortId dst, std::int64_t packets) {
   Flow f;
   f.id = id;
@@ -318,7 +327,7 @@ TEST(DistributedBasrpt, ProducesValidMatchings) {
                               rng.uniform_int(1, 100)));
     }
     const auto decision =
-        sched.decide(6, sched::build_candidates(voqs, 1.0));
+        decide_aos(sched, 6, sched::build_candidates(voqs, 1.0));
     EXPECT_TRUE(sched::decision_is_matching(decision, voqs));
     EXPECT_GE(decision.selected.size(), 1u);
   }
@@ -343,7 +352,7 @@ TEST(DistributedBasrpt, EnoughRoundsYieldMaximalMatching) {
                               rng.uniform_int(1, 100)));
     }
     const auto candidates = sched::build_candidates(voqs, 1.0);
-    const auto decision = dist.decide(5, candidates);
+    const auto decision = decide_aos(dist, 5, candidates);
     EXPECT_TRUE(sched::decision_is_matching(decision, voqs));
     std::set<PortId> in_used;
     std::set<PortId> out_used;
@@ -365,7 +374,7 @@ TEST(DistributedBasrpt, OneRoundPicksGloballyBestPerEgress) {
   voqs.add_flow(make_flow(2, 1, 2, 50));  // same egress, worse key
   sched::DistributedBasrptScheduler sched(30.0, 1);
   const auto decision =
-      sched.decide(3, sched::build_candidates(voqs, 1.0));
+      decide_aos(sched, 3, sched::build_candidates(voqs, 1.0));
   ASSERT_EQ(decision.selected.size(), 1u);
   EXPECT_EQ(decision.selected[0], 1);
 }
@@ -387,7 +396,7 @@ TEST(DistributedBasrpt, MoreRoundsNeverSelectFewer) {
     std::size_t last = 0;
     for (int rounds = 1; rounds <= 6; ++rounds) {
       sched::DistributedBasrptScheduler sched(100.0, rounds);
-      const auto size = sched.decide(6, candidates).selected.size();
+      const auto size = decide_aos(sched, 6, candidates).selected.size();
       EXPECT_GE(size, last);
       last = size;
     }
@@ -411,8 +420,8 @@ TEST(NoisySizes, ExactErrorIsPassThrough) {
   sched::SrptScheduler plain;
   sched::NoisySizeScheduler noisy(
       std::make_unique<sched::SrptScheduler>(), 1.0, 99);
-  EXPECT_EQ(noisy.decide(3, candidates).selected,
-            plain.decide(3, candidates).selected);
+  EXPECT_EQ(decide_aos(noisy, 3, candidates).selected,
+            decide_aos(plain, 3, candidates).selected);
 }
 
 TEST(NoisySizes, LargeErrorCanReorderSrpt) {
@@ -426,7 +435,7 @@ TEST(NoisySizes, LargeErrorCanReorderSrpt) {
   for (std::uint64_t seed = 0; seed < 32 && !flipped; ++seed) {
     sched::NoisySizeScheduler noisy(
         std::make_unique<sched::SrptScheduler>(), 10.0, seed);
-    const auto decision = noisy.decide(2, candidates);
+    const auto decision = decide_aos(noisy, 2, candidates);
     ASSERT_EQ(decision.selected.size(), 1u);
     flipped = decision.selected[0] == 2;
   }
@@ -440,9 +449,9 @@ TEST(NoisySizes, PerFlowFactorIsStableAcrossDecisions) {
   const auto candidates = sched::build_candidates(voqs, 1.0);
   sched::NoisySizeScheduler noisy(
       std::make_unique<sched::SrptScheduler>(), 10.0, 7);
-  const auto first = noisy.decide(2, candidates).selected;
+  const auto first = decide_aos(noisy, 2, candidates).selected;
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(noisy.decide(2, candidates).selected, first);
+    EXPECT_EQ(decide_aos(noisy, 2, candidates).selected, first);
   }
 }
 

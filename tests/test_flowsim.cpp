@@ -1,10 +1,15 @@
 // Unit tests for src/flowsim: event mechanics, exact FCTs on hand-built
-// scenarios, preemption, conservation, sampling.
+// scenarios, preemption, conservation, sampling, and the observability
+// contract (allocation-free off path, call-site decision metrics).
 #include <gtest/gtest.h>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "flowsim/flow_sim.hpp"
+#include "flowsim/online.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "perf/profiler.hpp"
 #include "sched/fast_basrpt.hpp"
 #include "sched/srpt.hpp"
 #include "workload/generators.hpp"
@@ -190,6 +195,94 @@ TEST(FlowSim, EcmpModeRunsAndConserves) {
   EXPECT_EQ(result.flows_arrived,
             result.flows_completed + result.flows_left);
   EXPECT_GT(result.flows_completed, 0);
+}
+
+TEST(FlowSimObs, OffPathAllocatesNothingPerArrival) {
+  // The quick-scale fabric at load 0.95, driven one arrival at a time
+  // the way basrptd and the end-to-end benchmark drive it. With
+  // observability off, steady-state offer + advance_to must not touch
+  // the heap (a metric-name lookup per advance_to once cost one
+  // allocation per arrival).
+  ASSERT_FALSE(obs::enabled());
+  for (const bool basrpt : {false, true}) {
+    FlowSimConfig config;
+    config.fabric = topo::small_fabric(4, 6, 3);
+    config.horizon = seconds(1.0);
+    const std::int32_t hosts = config.fabric.hosts();
+    sched::SrptScheduler srpt;
+    sched::FastBasrptScheduler fast(2500.0 * hosts / 144.0);
+    sched::Scheduler& scheduler =
+        basrpt ? static_cast<sched::Scheduler&>(fast) : srpt;
+    Rng rng(5);
+    auto traffic =
+        workload::paper_mix(0.95, 0.10, config.fabric.racks,
+                            config.fabric.hosts_per_rack,
+                            config.fabric.host_link, config.horizon, rng);
+    OnlineFlowSim sim(config, scheduler);
+    std::int64_t arrivals = 0;
+    std::uint64_t allocs = 0;
+    while (const auto a = traffic->next()) {
+      if (a->time.seconds >= 0.75) {
+        break;
+      }
+      const bool measured = a->time.seconds >= 0.6;
+      if (measured) {
+        perf::set_alloc_counting(true);
+      }
+      const std::uint64_t before = perf::alloc_total();
+      sim.offer(*a);
+      sim.advance_to(a->time);
+      if (measured) {
+        allocs += perf::alloc_total() - before;
+        perf::set_alloc_counting(false);
+        ++arrivals;
+      }
+    }
+    ASSERT_GT(arrivals, 10000);
+    EXPECT_LT(static_cast<double>(allocs) / static_cast<double>(arrivals),
+              0.01)
+        << scheduler.name() << ": " << allocs << " allocations over "
+        << arrivals << " arrivals";
+  }
+}
+
+TEST(FlowSimObs, PreemptionCountMatchesTracedPreemptions) {
+  auto config = tiny_config(0.3);
+  obs::FlowTracer tracer;
+  config.tracer = &tracer;
+  sched::SrptScheduler srpt;
+  Rng rng(3);
+  auto traffic = workload::paper_mix(0.9, 0.2, 2, 4, gbps(10.0),
+                                     seconds(0.3), rng);
+  obs::Registry registry;
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  FlowSimResult result(0, 1);
+  {
+    const obs::ScopedRegistryBind bind(&registry);
+    result = run_flow_sim(config, srpt, *traffic);
+  }
+  obs::set_enabled(was_enabled);
+
+  std::int64_t traced = 0;
+  for (const obs::FlowTraceRecord& r : tracer.records()) {
+    traced += r.event == obs::FlowEvent::kPreemption ? 1 : 0;
+  }
+  ASSERT_GT(traced, 0);  // SRPT under a heavy-tailed mix does preempt
+  EXPECT_EQ(registry.counters().at("sched.preemptions").value(), traced);
+  // One decision per scheduler invocation with candidates, each timed
+  // once by the decide phase and counted once at the call site.
+  const std::int64_t decisions =
+      registry.counters().at("sched.decisions").value();
+  EXPECT_GT(decisions, 0);
+  EXPECT_LE(decisions,
+            static_cast<std::int64_t>(result.scheduler_invocations));
+  EXPECT_EQ(registry.phase(obs::Phase::kDecide).calls,
+            static_cast<std::uint64_t>(decisions));
+  EXPECT_EQ(registry.histograms().at("sched.candidates").count(),
+            static_cast<std::uint64_t>(decisions));
+  EXPECT_EQ(registry.histograms().at("sched.matching_size").count(),
+            static_cast<std::uint64_t>(decisions));
 }
 
 TEST(FlowSimResult, ZeroHorizonThroughputIsZeroNotNan) {

@@ -1,7 +1,6 @@
-// Unit tests for src/obs: metrics registry, log-scale histogram,
-// ScopedTimer arming, flow tracer + Chrome JSON well-formedness,
-// heartbeat pacing, the InstrumentedScheduler decorator, and the
-// metrics exporters.
+// Unit tests for src/obs: metrics registry and its phase table,
+// log-scale histogram, flow tracer + Chrome JSON well-formedness,
+// heartbeat pacing, and the metrics exporters.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -15,7 +14,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "report/metrics_json.hpp"
-#include "sched/instrumented.hpp"
 
 namespace basrpt {
 namespace {
@@ -256,24 +254,6 @@ TEST(Registry, ReturnsStableReferencesAndResets) {
   EXPECT_TRUE(registry.empty());
 }
 
-TEST(ScopedTimer, ArmsOnlyWhenEnabledOrForced) {
-  const bool was_enabled = obs::enabled();
-  obs::LatencyHistogram h;
-  obs::set_enabled(false);
-  { obs::ScopedTimer t(h); }
-  EXPECT_EQ(h.count(), 0u);
-  {
-    obs::ScopedTimer t(h, /*always=*/true);
-    t.stop();
-    t.stop();  // idempotent
-  }
-  EXPECT_EQ(h.count(), 1u);
-  obs::set_enabled(true);
-  { obs::ScopedTimer t(h); }
-  EXPECT_EQ(h.count(), 2u);
-  obs::set_enabled(was_enabled);
-}
-
 TEST(FlowTracer, FirstServiceDeduplicated) {
   obs::FlowTracer tracer;
   tracer.on_arrival(1, 0, 1, 0.0, 100.0);
@@ -344,70 +324,6 @@ TEST(FlowTracer, JsonlOneValidObjectPerLine) {
   EXPECT_NE(out.str().find("\"completion\""), std::string::npos);
 }
 
-// Scheduler whose decisions are scripted, so the decorator's counters
-// can be checked against hand-computed selected-set diffs.
-class ScriptedScheduler : public sched::Scheduler {
- public:
-  explicit ScriptedScheduler(std::vector<std::vector<sched::FlowId>> script)
-      : script_(std::move(script)) {}
-  std::string name() const override { return "scripted"; }
-  using sched::Scheduler::decide_into;
-  void decide_into(sched::PortId, const sched::CandidateView&,
-                   sched::Decision& out) override {
-    out.selected.clear();
-    if (calls_ < script_.size()) {
-      out.selected = script_[calls_];
-    }
-    ++calls_;
-  }
-
- private:
-  std::vector<std::vector<sched::FlowId>> script_;
-  std::size_t calls_ = 0;
-};
-
-std::vector<sched::VoqCandidate> fake_candidates(std::size_t n) {
-  std::vector<sched::VoqCandidate> candidates(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    candidates[i].ingress = static_cast<sched::PortId>(i);
-    candidates[i].egress = static_cast<sched::PortId>(i);
-  }
-  return candidates;
-}
-
-TEST(InstrumentedScheduler, CountsDecisionsAndPreemptions) {
-  obs::Registry registry;
-  auto instrumented = sched::InstrumentedScheduler(
-      std::make_unique<ScriptedScheduler>(std::vector<std::vector<
-          sched::FlowId>>{{1, 2}, {2, 3}, {}, {5}}),
-      &registry, "test");
-  EXPECT_EQ(instrumented.name(), "scripted");
-
-  instrumented.decide(4, fake_candidates(3));
-  EXPECT_EQ(instrumented.last_candidates(), 3u);
-  EXPECT_EQ(instrumented.last_matching_size(), 2u);
-  EXPECT_EQ(instrumented.last_preemptions(), 0u);  // nothing before
-
-  instrumented.decide(4, fake_candidates(2));
-  EXPECT_EQ(instrumented.last_preemptions(), 1u);  // flow 1 dropped
-
-  instrumented.decide(4, fake_candidates(0));
-  EXPECT_EQ(instrumented.last_preemptions(), 2u);  // 2 and 3 dropped
-  EXPECT_EQ(instrumented.last_matching_size(), 0u);
-
-  instrumented.decide(4, fake_candidates(1));
-  EXPECT_EQ(instrumented.last_preemptions(), 0u);  // {} -> {5} drops none
-
-  EXPECT_EQ(instrumented.decisions(), 4u);
-  EXPECT_EQ(instrumented.preemptions(), 3u);
-  EXPECT_EQ(registry.counters().at("test.decisions").value(), 4);
-  EXPECT_EQ(registry.counters().at("test.preemptions").value(), 3);
-  EXPECT_EQ(registry.histograms().at("test.decision_ns").count(), 4u);
-  EXPECT_EQ(registry.histograms().at("test.candidates").count(), 4u);
-  EXPECT_EQ(registry.histograms().at("test.candidates").max(), 3u);
-  EXPECT_EQ(registry.histograms().at("test.matching_size").max(), 2u);
-}
-
 TEST(Heartbeat, BeatsWithCustomReporterAndFlush) {
   obs::Heartbeat hb;
   std::vector<obs::HeartbeatStatus> beats;
@@ -443,9 +359,13 @@ TEST(MetricsExport, JsonIsWellFormedAndComplete) {
   obs::Registry registry;
   registry.counter("sim.events_executed").add(123);
   registry.gauge("sim.calendar_depth").set(17.0);
-  auto& h = registry.histogram("sched.decision_ns");
+  auto& h = registry.histogram("sched.candidates");
   h.add(100);
   h.add(3000);
+  obs::PhaseStats& decide = registry.phase(obs::Phase::kDecide);
+  decide.calls = 2;
+  decide.ns.add(250);
+  decide.ns.add(900);
 
   std::ostringstream out;
   report::write_metrics_json(out, registry);
@@ -453,21 +373,27 @@ TEST(MetricsExport, JsonIsWellFormedAndComplete) {
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
   EXPECT_NE(json.find("\"sim.events_executed\""), std::string::npos);
   EXPECT_NE(json.find("\"sim.calendar_depth\""), std::string::npos);
-  EXPECT_NE(json.find("\"sched.decision_ns\""), std::string::npos);
+  EXPECT_NE(json.find("\"sched.candidates\""), std::string::npos);
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
   EXPECT_NE(json.find("\"buckets\""), std::string::npos);
+  // Only entered phases are exported; their latency histogram nests.
+  EXPECT_NE(json.find("\"phases\""), std::string::npos);
+  EXPECT_NE(json.find("\"decide\""), std::string::npos);
+  EXPECT_EQ(json.find("\"match_sort\""), std::string::npos);
 }
 
 TEST(MetricsExport, CsvHasOneFieldPerRow) {
   obs::Registry registry;
   registry.counter("c").add(5);
   registry.histogram("h").add(42);
+  registry.phase(obs::Phase::kDecide).calls = 3;
   std::ostringstream out;
   report::write_metrics_csv(out, registry);
   const std::string csv = out.str();
   EXPECT_NE(csv.find("kind,name,field,value"), std::string::npos);
   EXPECT_NE(csv.find("counter,c,value,5"), std::string::npos);
   EXPECT_NE(csv.find("histogram,h,count,1"), std::string::npos);
+  EXPECT_NE(csv.find("phase,decide,calls,3"), std::string::npos);
 }
 
 TEST(Logger, SinkCapturesAboveThreshold) {

@@ -1,13 +1,13 @@
-// Tests for the perf subsystem: the JSON model, basrpt-bench-v1 record
-// round-trips and validation, the allocation counter and its per-phase
-// attribution, the phase profiler's self/child accounting, the
-// measurement harness, the regression-gate comparator (including the
-// injected-20%-regression / within-tolerance scenarios the CI gate's
-// self-test mirrors), and the CellPool perf counters.
+// Tests for the perf subsystem: the JSON writer, basrpt-bench-v1 record
+// output, the allocation counter and its per-phase attribution, phase
+// timing into the obs::Registry phase table (self/child accounting,
+// spans, the basrpt-profile-v1 breakdown), the measurement harness, and
+// the CellPool perf counters. The regression gate's comparator is
+// checked by `scripts/perf_gate.py --self-test`, registered with CTest.
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -16,8 +16,8 @@
 
 #include "common/assert.hpp"
 #include "exec/cell_pool.hpp"
+#include "obs/metrics.hpp"
 #include "perf/bench_record.hpp"
-#include "perf/gate.hpp"
 #include "perf/json.hpp"
 #include "perf/measure.hpp"
 #include "perf/profiler.hpp"
@@ -37,19 +37,25 @@ TEST(PerfJson, RoundTripsTypesAndPreservesMemberOrder) {
   perf::json::Value arr = perf::json::Value::array();
   arr.push(perf::json::Value::number(-3.0));
   arr.push(perf::json::Value::number(1e18));
+  arr.push(perf::json::Value::number(0.1));
   doc.set("items", std::move(arr));
 
-  const std::string text = doc.serialize(2);
-  const perf::json::Value back = perf::json::parse(text, "test");
-  EXPECT_EQ(back.members()[0].first, "zeta");  // insertion order kept
-  EXPECT_EQ(back.members()[1].first, "alpha");
-  EXPECT_DOUBLE_EQ(back.at("zeta").as_number(), 1.5);
-  EXPECT_EQ(back.at("alpha").as_string(), "a \"quoted\"\nline");
-  EXPECT_TRUE(back.at("flag").as_bool());
-  EXPECT_TRUE(back.at("nothing").is_null());
-  EXPECT_DOUBLE_EQ(back.at("items").items()[1].as_number(), 1e18);
-  // Serialization is deterministic: a second pass is byte-identical.
-  EXPECT_EQ(perf::json::parse(text, "test").serialize(2), text);
+  EXPECT_EQ(doc.members()[0].first, "zeta");  // insertion order kept
+  EXPECT_EQ(doc.members()[1].first, "alpha");
+  const std::string text = doc.serialize();
+  EXPECT_EQ(text,
+            "{\"zeta\":1.5,\"alpha\":\"a \\\"quoted\\\"\\nline\","
+            "\"flag\":true,\"nothing\":null,"
+            "\"items\":[-3,1e+18,0.10000000000000001]}");
+  // Every number token reads back to the exact double that was set.
+  EXPECT_EQ(std::strtod("1e+18", nullptr), 1e18);
+  EXPECT_EQ(std::strtod("0.10000000000000001", nullptr), 0.1);
+  // Serialization is deterministic; pretty-printing indents members and
+  // ends the document with a newline.
+  EXPECT_EQ(doc.serialize(), text);
+  const std::string pretty = doc.serialize(2);
+  EXPECT_EQ(pretty.rfind("{\n  \"zeta\": 1.5,\n  \"alpha\": ", 0), 0u);
+  EXPECT_EQ(pretty.back(), '\n');
 }
 
 TEST(PerfJson, IntegersSerializeWithoutExponent) {
@@ -57,33 +63,13 @@ TEST(PerfJson, IntegersSerializeWithoutExponent) {
   EXPECT_EQ(v.serialize(), "7384551");
 }
 
-TEST(PerfJson, ParseErrorsCarryLineNumbers) {
-  // Truncated object: the error points past the last line seen.
-  try {
-    perf::json::parse("{\n  \"a\": 1,\n  \"b\": ", "trunc");
-    FAIL() << "truncated document parsed";
-  } catch (const ParseError& e) {
-    EXPECT_NE(std::string(e.what()).find("trunc"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
-  }
-  EXPECT_THROW(perf::json::parse("{\"a\": 1} garbage", "t"), ParseError);
-  EXPECT_THROW(perf::json::parse("{\"a\" 1}", "t"), ParseError);
-  EXPECT_THROW(perf::json::parse("\"unterminated", "t"), ParseError);
-  EXPECT_THROW(perf::json::parse("\"bad \\q escape\"", "t"), ParseError);
-  EXPECT_THROW(perf::json::parse("", "t"), ParseError);
-  EXPECT_THROW(perf::json::parse("nul", "t"), ParseError);
-  std::string deep;
-  for (int i = 0; i < 100; ++i) {
-    deep += "[";
-  }
-  EXPECT_THROW(perf::json::parse(deep, "t"), ParseError);
-}
-
 TEST(PerfJson, TypedAccessorsRejectKindMismatch) {
-  const perf::json::Value v = perf::json::parse("{\"a\": 1}", "t");
+  perf::json::Value v = perf::json::Value::object();
+  v.set("a", perf::json::Value::number(1.0));
   EXPECT_THROW(v.at("a").as_string(), ConfigError);
   EXPECT_THROW(v.at("missing"), ConfigError);
   EXPECT_EQ(v.find("missing"), nullptr);
+  EXPECT_THROW(v.push(perf::json::Value()), ConfigError);
 }
 
 // --------------------------------------------------------- bench records
@@ -104,82 +90,64 @@ TEST(BenchRecord, RoundTripsThroughDisk) {
   const std::string path = "test_perf_record.json";
   const perf::BenchRecord r = sample_record();
   perf::write_record_file(path, r);
-  const perf::BenchRecord back = perf::read_record_file(path);
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
   std::filesystem::remove(path);
 
-  EXPECT_EQ(back.schema, perf::kBenchSchema);
-  EXPECT_EQ(back.name, "unit");
-  EXPECT_EQ(back.warmup, 100);
-  EXPECT_EQ(back.reps, 5);
-  ASSERT_EQ(back.cases.size(), 1u);
-  EXPECT_EQ(back.cases[0].label, "decide/srpt/ports=144");
-  ASSERT_NE(back.cases[0].find_metric("decisions_per_sec"), nullptr);
-  EXPECT_DOUBLE_EQ(*back.cases[0].find_metric("decisions_per_sec"), 1.25e6);
-  ASSERT_EQ(back.cases[0].params.size(), 1u);
-  EXPECT_EQ(back.cases[0].params[0].second, "144");
-}
-
-TEST(BenchRecord, RejectsWrongSchemaAndDuplicateLabels) {
-  perf::json::Value doc =
-      perf::json::parse(perf::record_to_json(sample_record()).serialize(),
-                        "t");
-  doc.set("schema", perf::json::Value::string("basrpt-bench-v999"));
-  EXPECT_THROW(perf::record_from_json(doc, "t"), ConfigError);
-
-  perf::BenchRecord dup = sample_record();
-  dup.cases.push_back(dup.cases[0]);
-  EXPECT_THROW(
-      perf::record_from_json(
-          perf::json::parse(perf::record_to_json(dup).serialize(), "t"), "t"),
-      ConfigError);
-}
-
-TEST(BenchRecord, CorruptAndTruncatedFilesThrowParseError) {
-  const std::string path = "test_perf_corrupt.json";
-  const std::string good = perf::record_to_json(sample_record()).serialize(2);
-  {
-    std::ofstream out(path);
-    out << good.substr(0, good.size() / 2);  // truncated mid-document
-  }
-  EXPECT_THROW(perf::read_record_file(path), ParseError);
-  {
-    std::ofstream out(path);
-    out << "{\"schema\": \"basrpt-bench-v1\", }";
-  }
-  EXPECT_THROW(perf::read_record_file(path), ParseError);
-  std::filesystem::remove(path);
-  EXPECT_THROW(perf::read_record_file(path), ConfigError);  // missing file
+  // The file holds exactly the record's document, newline-terminated.
+  const perf::json::Value doc = perf::record_to_json(r);
+  EXPECT_EQ(text.str(), doc.serialize(2));
+  EXPECT_EQ(doc.at("schema").as_string(), perf::kBenchSchema);
+  EXPECT_EQ(doc.at("name").as_string(), "unit");
+  EXPECT_EQ(doc.at("warmup").as_number(), 100.0);
+  EXPECT_EQ(doc.at("reps").as_number(), 5.0);
+  ASSERT_EQ(doc.at("cases").items().size(), 1u);
+  const perf::json::Value& c = doc.at("cases").items()[0];
+  EXPECT_EQ(c.at("label").as_string(), "decide/srpt/ports=144");
+  EXPECT_EQ(c.at("metrics").at("decisions_per_sec").as_number(), 1.25e6);
+  EXPECT_EQ(c.at("params").at("ports").as_string(), "144");
 }
 
 // ------------------------------------------------- allocation attribution
 
-TEST(Profiler, AllocationCounterAttributesToActivePhase) {
-  perf::Profiler& profiler = perf::Profiler::global();
-  profiler.reset();
-  const bool was_counting = perf::alloc_counting();
-  perf::set_profiling(true);
+/// Routes phase timing into a private registry with observability on
+/// for one test, restoring the global switches afterwards.
+class ArmedRegistry {
+ public:
+  ArmedRegistry() : was_enabled_(obs::enabled()), bind_(&registry) {
+    obs::set_enabled(true);
+  }
+  ~ArmedRegistry() {
+    obs::set_enabled(was_enabled_);
+    perf::set_alloc_counting(false);
+    perf::set_span_recording(false);
+  }
+  obs::Registry registry;
 
-  const std::uint64_t decide_before =
-      profiler.stats(perf::Phase::kDecide).allocs;
+ private:
+  bool was_enabled_;
+  obs::ScopedRegistryBind bind_;
+};
+
+TEST(Profiler, AllocationCounterAttributesToActivePhase) {
+  ArmedRegistry armed;
+  perf::set_alloc_counting(true);
+  const std::uint64_t before = perf::alloc_total();
   {
-    const perf::ScopedPhase phase(perf::Phase::kDecide);
+    const perf::ScopedPhase phase(obs::Phase::kDecide);
     perf::note_alloc(64);
     perf::note_alloc(128);
   }
   perf::note_alloc(32);  // outside any phase -> unattributed
 
-  const perf::PhaseStats decide = profiler.stats(perf::Phase::kDecide);
-  EXPECT_EQ(decide.allocs - decide_before, 2u);
-  EXPECT_GE(decide.alloc_bytes, 192u);
-  EXPECT_GE(profiler.unattributed().allocs, 1u);
-
-  perf::set_profiling(false);
-  perf::set_alloc_counting(was_counting);
+  const obs::PhaseStats& decide = armed.registry.phase(obs::Phase::kDecide);
+  EXPECT_EQ(decide.allocs, 2u);
+  EXPECT_EQ(decide.alloc_bytes, 192u);
+  EXPECT_GE(perf::alloc_total() - before, 3u);
 }
 
 TEST(Profiler, RealAllocationsAreCountedWhileEnabled) {
-  perf::Profiler& profiler = perf::Profiler::global();
-  profiler.reset();
   perf::set_alloc_counting(true);
   const std::uint64_t before = perf::alloc_total();
   {
@@ -197,7 +165,7 @@ TEST(Profiler, RealAllocationsAreCountedWhileEnabled) {
   EXPECT_EQ(perf::alloc_total(), off_before);
 }
 
-// ------------------------------------------------------- phase profiler
+// ------------------------------------------------------- phase timing
 
 void spin_for_us(int us) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -207,90 +175,97 @@ void spin_for_us(int us) {
 }
 
 TEST(Profiler, SelfTimeExcludesNestedPhases) {
-  perf::Profiler& profiler = perf::Profiler::global();
-  profiler.reset();
-  perf::set_profiling(true);
-  profiler.begin_window();
+  ArmedRegistry armed;
+  const std::uint64_t t0 = perf::now_ns();
   {
-    const perf::ScopedPhase outer(perf::Phase::kEventDispatch);
+    const perf::ScopedPhase outer(obs::Phase::kEventDispatch);
     spin_for_us(2000);
     {
-      const perf::ScopedPhase inner(perf::Phase::kDecide);
+      const perf::ScopedPhase inner(obs::Phase::kDecide);
       spin_for_us(4000);
     }
   }
-  profiler.end_window();
-  perf::set_profiling(false);
+  const std::uint64_t window = perf::now_ns() - t0;
 
-  const perf::PhaseStats outer = profiler.stats(perf::Phase::kEventDispatch);
-  const perf::PhaseStats inner = profiler.stats(perf::Phase::kDecide);
+  const obs::PhaseStats& outer =
+      armed.registry.phase(obs::Phase::kEventDispatch);
+  const obs::PhaseStats& inner = armed.registry.phase(obs::Phase::kDecide);
   EXPECT_EQ(outer.calls, 1u);
   EXPECT_EQ(inner.calls, 1u);
+  EXPECT_EQ(inner.ns.count(), 1u);
   // Outer total includes the nested 4 ms; outer self does not.
   EXPECT_GE(outer.total_ns, 5'000'000u);
   EXPECT_LT(outer.self_ns, 4'000'000u);
   EXPECT_GE(inner.self_ns, 3'000'000u);
-  // The breakdown stays additive: self times sum to ~window.
-  EXPECT_GT(profiler.coverage(), 0.9);
-  EXPECT_LT(profiler.coverage(), 1.1);
+  // The breakdown stays additive: self times sum to ~the window.
+  const double coverage = static_cast<double>(armed.registry.phase_self_ns()) /
+                          static_cast<double>(window);
+  EXPECT_GT(coverage, 0.9);
+  EXPECT_LE(coverage, 1.0);
 }
 
 TEST(Profiler, DisarmedScopesRecordNothing) {
-  perf::Profiler& profiler = perf::Profiler::global();
-  profiler.reset();
-  ASSERT_FALSE(perf::profiling());
+  obs::Registry registry;
+  const obs::ScopedRegistryBind bind(&registry);
+  ASSERT_FALSE(obs::enabled());
   {
-    const perf::ScopedPhase phase(perf::Phase::kDecide);
+    const perf::ScopedPhase phase(obs::Phase::kDecide);
     spin_for_us(100);
   }
-  EXPECT_EQ(profiler.stats(perf::Phase::kDecide).calls, 0u);
+  EXPECT_TRUE(registry.empty());
 }
 
 TEST(Profiler, SpanRecordingCapsAndExports) {
-  perf::Profiler& profiler = perf::Profiler::global();
-  profiler.reset();
-  profiler.set_span_recording(true, 3);
-  perf::set_profiling(true);
-  profiler.begin_window();
+  ArmedRegistry armed;
+  perf::set_span_recording(true);
+  const std::uint64_t origin = perf::now_ns();
   for (int i = 0; i < 5; ++i) {
-    const perf::ScopedPhase phase(perf::Phase::kDecide);
+    const perf::ScopedPhase phase(obs::Phase::kDecide);
   }
-  profiler.end_window();
-  perf::set_profiling(false);
+  perf::set_span_recording(false);
+  { const perf::ScopedPhase phase(obs::Phase::kDecide); }  // not recorded
+  ASSERT_EQ(armed.registry.spans().size(), 5u);
+  EXPECT_EQ(armed.registry.phase(obs::Phase::kDecide).calls, 6u);
 
-  EXPECT_EQ(profiler.spans_dropped(), 2u);
   obs::FlowTracer tracer;
-  profiler.export_spans(tracer);
-  ASSERT_EQ(tracer.phase_spans().size(), 3u);
+  perf::export_spans(armed.registry, origin, tracer);
+  ASSERT_EQ(tracer.phase_spans().size(), 5u);
   EXPECT_EQ(tracer.phase_spans()[0].name, "decide");
-  profiler.set_span_recording(false);
 
   // The merged Chrome trace carries the spans on the perf track.
   std::ostringstream out;
   tracer.write_chrome_json(out);
   EXPECT_NE(out.str().find("\"cat\":\"phase\""), std::string::npos);
   EXPECT_NE(out.str().find("\"name\":\"perf\""), std::string::npos);
+
+  // The cap holds per registry and across shard merges; overflow is
+  // counted, never silent.
+  obs::Registry full;
+  for (std::size_t i = 0; i < obs::Registry::kSpanLimit + 2; ++i) {
+    full.add_span({obs::Phase::kDecide, i, 1});
+  }
+  EXPECT_EQ(full.spans().size(), obs::Registry::kSpanLimit);
+  EXPECT_EQ(full.spans_dropped(), 2u);
+  full.merge_from(armed.registry);
+  EXPECT_EQ(full.spans().size(), obs::Registry::kSpanLimit);
+  EXPECT_EQ(full.spans_dropped(), 7u);
 }
 
 TEST(Profiler, ProfileJsonCarriesSchemaAndPhases) {
-  perf::Profiler& profiler = perf::Profiler::global();
-  profiler.reset();
-  perf::set_profiling(true);
-  profiler.begin_window();
+  ArmedRegistry armed;
   {
-    const perf::ScopedPhase phase(perf::Phase::kCandidateRepack);
+    const perf::ScopedPhase phase(obs::Phase::kCandidateRepack);
     spin_for_us(200);
   }
-  profiler.end_window();
-  perf::set_profiling(false);
-
   const perf::json::Value doc =
-      perf::json::parse(profiler.to_json(), "profile");
+      perf::profile_json(armed.registry, 1'000'000, 4);
   EXPECT_EQ(doc.at("schema").as_string(), "basrpt-profile-v1");
-  EXPECT_GT(doc.at("window_ns").as_number(), 0.0);
+  EXPECT_EQ(doc.at("window_ns").as_number(), 1e6);
   ASSERT_NE(doc.at("phases").find("candidate_repack"), nullptr);
+  EXPECT_EQ(doc.at("phases").find("decide"), nullptr);  // never entered
   EXPECT_DOUBLE_EQ(
       doc.at("phases").at("candidate_repack").at("calls").as_number(), 1.0);
+  EXPECT_EQ(doc.at("alloc_unattributed").at("allocs").as_number(), 4.0);
 }
 
 // -------------------------------------------------- measurement harness
@@ -333,109 +308,6 @@ TEST(Measure, SetupRunsUntimedAndAllocsExcludeSetup) {
       });
   EXPECT_GT(setups, 0);
   EXPECT_DOUBLE_EQ(m.allocs_per_op, 0.0);
-}
-
-// --------------------------------------------------------------- gate
-
-perf::BenchRecord gate_baseline() {
-  perf::BenchRecord r;
-  r.name = "gate";
-  r.host = "h";
-  r.cpu = "c";
-  perf::BenchCase c;
-  c.label = "decide/srpt/ports=144";
-  c.metric("decisions_per_sec", 1.0e6);
-  c.metric("ns_p50", 900.0);
-  c.metric("ns_p99", 2000.0);
-  c.metric("allocs_per_decision", 0.0);
-  c.metric("rep_spread_frac", 0.03);
-  r.cases.push_back(c);
-  return r;
-}
-
-perf::BenchRecord with_metric(const std::string& name, double value) {
-  perf::BenchRecord r = gate_baseline();
-  for (auto& [metric, v] : r.cases[0].metrics) {
-    if (metric == name) {
-      v = value;
-    }
-  }
-  return r;
-}
-
-TEST(Gate, MetricDirectionInference) {
-  EXPECT_EQ(perf::metric_direction("decisions_per_sec"),
-            perf::Direction::kHigherBetter);
-  EXPECT_EQ(perf::metric_direction("ns_p50"), perf::Direction::kLowerBetter);
-  EXPECT_EQ(perf::metric_direction("total_ns"),
-            perf::Direction::kLowerBetter);
-  EXPECT_EQ(perf::metric_direction("allocs_per_decision"),
-            perf::Direction::kLowerBetter);
-  EXPECT_EQ(perf::metric_direction("rep_spread_frac"),
-            perf::Direction::kInformational);
-  EXPECT_EQ(perf::metric_direction("coverage_frac"),
-            perf::Direction::kInformational);
-  EXPECT_TRUE(perf::is_tail_metric("ns_p999"));
-  EXPECT_FALSE(perf::is_tail_metric("ns_p50"));
-}
-
-TEST(Gate, InjectedTwentyPercentRegressionFails) {
-  const perf::GateResult result =
-      perf::compare_records(gate_baseline(),
-                            with_metric("decisions_per_sec", 0.8e6), {});
-  ASSERT_EQ(result.regressions.size(), 1u);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.regressions[0].metric, "decisions_per_sec");
-  EXPECT_DOUBLE_EQ(result.regressions[0].limit, 0.9e6);
-}
-
-TEST(Gate, WithinTolerancePasses) {
-  perf::BenchRecord fresh = gate_baseline();
-  fresh.cases[0].metrics = {{"decisions_per_sec", 0.95e6},
-                            {"ns_p50", 990.0},
-                            {"ns_p99", 2600.0},  // +30% < 60% tail tol
-                            {"allocs_per_decision", 0.0},
-                            {"rep_spread_frac", 10.0}};  // informational
-  const perf::GateResult result =
-      perf::compare_records(gate_baseline(), fresh, {});
-  EXPECT_TRUE(result.ok()) << perf::render_gate_result(result);
-}
-
-TEST(Gate, AllocCorridorIsAbsolute) {
-  // 0 -> 1 alloc/op is tiny in relative terms but breaks the zero-alloc
-  // contract; the absolute corridor flags it.
-  EXPECT_FALSE(
-      perf::compare_records(gate_baseline(),
-                            with_metric("allocs_per_decision", 1.0), {})
-          .ok());
-  EXPECT_TRUE(
-      perf::compare_records(gate_baseline(),
-                            with_metric("allocs_per_decision", 0.3), {})
-          .ok());
-}
-
-TEST(Gate, TailToleranceIsLooserThanLatencyTolerance) {
-  // +40% on p50 fails (30% latency tol)...
-  EXPECT_FALSE(
-      perf::compare_records(gate_baseline(), with_metric("ns_p50", 1260.0), {})
-          .ok());
-  // ...but +40% on p99 passes (60% tail tol).
-  EXPECT_TRUE(
-      perf::compare_records(gate_baseline(), with_metric("ns_p99", 2800.0), {})
-          .ok());
-}
-
-TEST(Gate, MissingCaseFailsAndNewCaseIsNoted) {
-  perf::BenchRecord fresh = gate_baseline();
-  fresh.cases[0].label = "decide/srpt/ports=288";
-  const perf::GateResult result =
-      perf::compare_records(gate_baseline(), fresh, {});
-  EXPECT_FALSE(result.ok());
-  ASSERT_EQ(result.missing_cases.size(), 1u);
-  EXPECT_EQ(result.missing_cases[0], "decide/srpt/ports=144");
-  EXPECT_FALSE(result.notes.empty());  // the new case is noted
-  EXPECT_NE(perf::render_gate_result(result).find("MISSING"),
-            std::string::npos);
 }
 
 // ------------------------------------------------------ CellPool perf

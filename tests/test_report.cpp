@@ -1,9 +1,12 @@
-// Tests for src/report (CSV/gnuplot emitters), the fair-sharing service
-// model, and multi-seed replication.
+// Tests for src/report (CSV/gnuplot emitters), number fidelity of the
+// JSON reports (--metrics and basrptd's SLO report), the fair-sharing
+// service model, and multi-seed replication.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -11,7 +14,10 @@
 #include "flowsim/flow_sim.hpp"
 #include "report/csv.hpp"
 #include "report/gnuplot.hpp"
+#include "report/metrics_json.hpp"
 #include "sched/srpt.hpp"
+#include "srv/health.hpp"
+#include "srv/slo.hpp"
 #include "workload/generators.hpp"
 #include "workload/traffic.hpp"
 
@@ -214,6 +220,51 @@ TEST(Replication, SingleReplicaHasNoHalfWidth) {
   const auto result = core::run_replicated(config, 1);
   EXPECT_EQ(result.replicas, 1);
   EXPECT_DOUBLE_EQ(result.query_avg_ms.half_width95, 0.0);
+}
+
+// ------------------------------------------------------ JSON reports
+
+/// strtod of the number token following the first `"key":` in `text`.
+double number_after(const std::string& text, const std::string& key) {
+  const std::size_t at = text.find("\"" + key + "\":");
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) {
+    return 0.0;
+  }
+  return std::strtod(text.c_str() + at + key.size() + 3, nullptr);
+}
+
+TEST(Reports, NumbersRoundTripExactly) {
+  // Past 1000 feed-seconds six significant digits keep only 10 ms; the
+  // reports must carry every bit instead.
+  const double t = 1234.56789;
+  srv::SloTracker slo;
+  slo.record_admit(0);
+  slo.record_shed(1, t);
+  srv::HealthConfig config;
+  config.shed_enter_backlog_bytes = 1000;
+  config.shed_exit_backlog_bytes = 500;
+  srv::HealthMonitor health(config);
+  health.update({0.0, 0, 0, false, false, -1.0});
+  health.update({t, 5000, 0, false, false, -1.0});
+  ASSERT_EQ(health.transitions().size(), 1u);
+  srv::SloRunTotals totals;
+  totals.feed_seconds = 2 * t;
+  std::ostringstream slo_out;
+  srv::write_slo_json(slo_out, slo, health, totals);
+  EXPECT_EQ(number_after(slo_out.str(), "time_sec"), t);
+  EXPECT_EQ(number_after(slo_out.str(), "last_shed_sec"), t);
+  EXPECT_EQ(number_after(slo_out.str(), "feed_seconds"), 2 * t);
+  EXPECT_EQ(number_after(slo_out.str(), "shed_rate"), 0.5);
+
+  obs::Registry registry;
+  registry.gauge("g").set(123456789.5);
+  registry.histogram("h").add(3);
+  registry.histogram("h").add(4);
+  std::ostringstream metrics_out;
+  report::write_metrics_json(metrics_out, registry);
+  EXPECT_EQ(number_after(metrics_out.str(), "value"), 123456789.5);
+  EXPECT_EQ(number_after(metrics_out.str(), "mean"), 3.5);
 }
 
 TEST(Replication, EstimateToString) {

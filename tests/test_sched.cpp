@@ -26,6 +26,14 @@ using queueing::Flow;
 using queueing::FlowId;
 using queueing::VoqMatrix;
 
+/// Decides over AoS candidates from build_candidates, the reference
+/// candidate builder most tests state their inputs with.
+Decision decide_aos(Scheduler& scheduler, PortId n_ports,
+                    const std::vector<VoqCandidate>& candidates) {
+  CandidateSoA soa;
+  return scheduler.decide(n_ports, CandidateView::from_aos(candidates, soa));
+}
+
 Flow make_flow(FlowId id, PortId src, PortId dst, std::int64_t packets,
                double arrival = 0.0) {
   Flow f;
@@ -141,26 +149,6 @@ TEST(CandidateView, SoaViewRejectsMismatchedLaneLengths) {
   EXPECT_THROW(soa.view(), ConfigError);
 }
 
-TEST(CandidateView, DeprecatedAosShimAgreesWithViewPath) {
-  Rng rng(44);
-  for (int trial = 0; trial < 5; ++trial) {
-    const VoqMatrix voqs = random_state(8, 80, rng);
-    const auto aos = build_candidates(voqs, 1.0, true);
-    CandidateSoA storage;
-    const CandidateView view = CandidateView::from_aos(aos, storage);
-    for (const char* spec :
-         {"srpt", "fast-basrpt:v=2500", "threshold-srpt:threshold=2000",
-          "maxweight", "fifo"}) {
-      const auto scheduler = make_scheduler(SchedulerSpec::parse(spec));
-      EXPECT_EQ(scheduler->decide(8, aos).selected,
-                scheduler->decide(8, view).selected)
-          << spec << " trial " << trial;
-    }
-  }
-}
-
-// ------------------------------------------------------------------- SRPT
-
 TEST(Srpt, PicksGloballyShortestThenBlocksPorts) {
   // Paper's Sec. III-A description: shortest flow first, then its ports
   // are blocked.
@@ -170,7 +158,7 @@ TEST(Srpt, PicksGloballyShortestThenBlocksPorts) {
   voqs.add_flow(make_flow(3, 2, 1, 4));    // blocked: shares egress 1
   voqs.add_flow(make_flow(4, 1, 2, 100));  // selectable
   SrptScheduler srpt;
-  const auto decision = srpt.decide(3, build_candidates(voqs, 1.0));
+  const auto decision = decide_aos(srpt, 3, build_candidates(voqs, 1.0));
   std::set<FlowId> selected(decision.selected.begin(),
                             decision.selected.end());
   EXPECT_EQ(selected, (std::set<FlowId>{1, 4}));
@@ -181,7 +169,7 @@ TEST(Srpt, DecisionIsMaximalMatching) {
   for (int trial = 0; trial < 20; ++trial) {
     VoqMatrix voqs = random_state(6, 30, rng);
     SrptScheduler srpt;
-    const auto decision = srpt.decide(6, build_candidates(voqs, 1.0));
+    const auto decision = decide_aos(srpt, 6, build_candidates(voqs, 1.0));
     EXPECT_TRUE(decision_is_matching(decision, voqs));
     // Maximality: no remaining flow has both ports free.
     std::set<PortId> in_used;
@@ -204,7 +192,7 @@ TEST(Srpt, IgnoresBacklogEntirely) {
     voqs.add_flow(make_flow(id, 1, 0, 5));  // huge opposing backlog
   }
   SrptScheduler srpt;
-  const auto decision = srpt.decide(2, build_candidates(voqs, 1.0));
+  const auto decision = decide_aos(srpt, 2, build_candidates(voqs, 1.0));
   // Both VOQs get served (disjoint ports), shortest first regardless of
   // the 30-flow backlog.
   EXPECT_EQ(decision.selected.size(), 2u);
@@ -220,8 +208,8 @@ TEST(FastBasrpt, HugeVDegeneratesToSrpt) {
     SrptScheduler srpt;
     FastBasrptScheduler basrpt(1e12);
     const auto candidates = build_candidates(voqs, 1.0);
-    const auto a = srpt.decide(5, candidates);
-    const auto b = basrpt.decide(5, candidates);
+    const auto a = decide_aos(srpt, 5, candidates);
+    const auto b = decide_aos(basrpt, 5, candidates);
     EXPECT_EQ(std::set<FlowId>(a.selected.begin(), a.selected.end()),
               std::set<FlowId>(b.selected.begin(), b.selected.end()));
   }
@@ -234,7 +222,7 @@ TEST(FastBasrpt, ZeroVPrefersLongestQueues) {
   voqs.add_flow(make_flow(2, 1, 0, 50));
   voqs.add_flow(make_flow(3, 1, 0, 60));
   FastBasrptScheduler basrpt(0.0);
-  const auto decision = basrpt.decide(2, build_candidates(voqs, 1.0));
+  const auto decision = decide_aos(basrpt, 2, build_candidates(voqs, 1.0));
   // Ports are disjoint so both get served; V=0 ranks VOQ (1,0) first.
   ASSERT_EQ(decision.selected.size(), 2u);
   EXPECT_EQ(decision.selected[0], 2);  // longest queue's shortest flow
@@ -251,7 +239,7 @@ TEST(FastBasrpt, BacklogOverridesSizeWhenQueueLongEnough) {
     voqs.add_flow(make_flow(id, 1, 1, 10));
   }
   FastBasrptScheduler basrpt(4.0);
-  const auto decision = basrpt.decide(2, build_candidates(voqs, 1.0));
+  const auto decision = decide_aos(basrpt, 2, build_candidates(voqs, 1.0));
   ASSERT_EQ(decision.selected.size(), 1u);
   EXPECT_EQ(decision.selected[0], 2);
 }
@@ -301,9 +289,9 @@ TEST(ExactBasrpt, BeatsOrTiesFastBasrptOnObjective) {
     };
 
     const double exact_obj = ExactBasrptScheduler::objective(
-        v, pick(exact.decide(4, candidates)));
+        v, pick(decide_aos(exact, 4, candidates)));
     const double fast_obj = ExactBasrptScheduler::objective(
-        v, pick(fast.decide(4, candidates)));
+        v, pick(decide_aos(fast, 4, candidates)));
     EXPECT_LE(exact_obj, fast_obj + 1e-9) << "trial " << trial;
   }
 }
@@ -313,7 +301,7 @@ TEST(ExactBasrpt, SelectionIsValidMaximalMatching) {
   for (int trial = 0; trial < 10; ++trial) {
     VoqMatrix voqs = random_state(4, 8, rng);
     ExactBasrptScheduler exact(25.0);
-    const auto decision = exact.decide(4, build_candidates(voqs, 1.0));
+    const auto decision = decide_aos(exact, 4, build_candidates(voqs, 1.0));
     EXPECT_TRUE(decision_is_matching(decision, voqs));
     EXPECT_GE(decision.selected.size(), 1u);
   }
@@ -323,7 +311,8 @@ TEST(ExactBasrpt, RefusesLargeFabric) {
   ExactBasrptScheduler exact(10.0, 4);
   VoqMatrix voqs(8);
   voqs.add_flow(make_flow(1, 0, 1, 1));
-  EXPECT_THROW(exact.decide(8, build_candidates(voqs, 1.0)), ConfigError);
+  EXPECT_THROW(decide_aos(exact, 8, build_candidates(voqs, 1.0)),
+               ConfigError);
 }
 
 // -------------------------------------------------------- threshold SRPT
@@ -336,7 +325,7 @@ TEST(ThresholdSrpt, PromotesLongQueues) {
     voqs.add_flow(make_flow(id, 1, 0, 400));
   }
   ThresholdSrptScheduler sched(1000.0);  // 5*400 = 2000 > 1000: promoted
-  const auto decision = sched.decide(2, build_candidates(voqs, 1.0));
+  const auto decision = decide_aos(sched, 2, build_candidates(voqs, 1.0));
   ASSERT_EQ(decision.selected.size(), 2u);
   EXPECT_EQ(decision.selected[0], 10);  // promoted VOQ first
 }
@@ -348,8 +337,8 @@ TEST(ThresholdSrpt, BelowThresholdBehavesLikeSrpt) {
     SrptScheduler srpt;
     ThresholdSrptScheduler sched(1e9);  // nothing promoted
     const auto candidates = build_candidates(voqs, 1.0);
-    const auto a = srpt.decide(5, candidates);
-    const auto b = sched.decide(5, candidates);
+    const auto a = decide_aos(srpt, 5, candidates);
+    const auto b = decide_aos(sched, 5, candidates);
     EXPECT_EQ(std::set<FlowId>(a.selected.begin(), a.selected.end()),
               std::set<FlowId>(b.selected.begin(), b.selected.end()));
   }
@@ -363,7 +352,7 @@ TEST(MaxWeight, MaximizesBacklogWeight) {
     VoqMatrix voqs = random_state(4, 12, rng);
     MaxWeightScheduler sched;
     const auto candidates = build_candidates(voqs, 1.0);
-    const auto decision = sched.decide(4, candidates);
+    const auto decision = decide_aos(sched, 4, candidates);
     EXPECT_TRUE(decision_is_matching(decision, voqs));
 
     // Compare against Hungarian ground truth on the backlog matrix.
@@ -389,7 +378,7 @@ TEST(MaxWeight, ServesShortestWithinChosenVoq) {
   voqs.add_flow(make_flow(1, 0, 1, 50));
   voqs.add_flow(make_flow(2, 0, 1, 3));
   MaxWeightScheduler sched;
-  const auto decision = sched.decide(2, build_candidates(voqs, 1.0));
+  const auto decision = decide_aos(sched, 2, build_candidates(voqs, 1.0));
   ASSERT_EQ(decision.selected.size(), 1u);
   EXPECT_EQ(decision.selected[0], 2);
 }
@@ -401,7 +390,7 @@ TEST(Fifo, ServesOldestRegardlessOfSize) {
   voqs.add_flow(make_flow(1, 0, 1, 1, 9.0));    // tiny but late
   voqs.add_flow(make_flow(2, 0, 1, 1000, 1.0));  // huge but early
   FifoScheduler sched;
-  const auto decision = sched.decide(2, build_candidates(voqs, 1.0));
+  const auto decision = decide_aos(sched, 2, build_candidates(voqs, 1.0));
   ASSERT_EQ(decision.selected.size(), 1u);
   EXPECT_EQ(decision.selected[0], 2);
 }
@@ -428,7 +417,7 @@ TEST(Bvn, ServesVoqsAtTheirGuaranteedRates) {
   std::map<std::pair<PortId, PortId>, int> served;
   const int rounds = 20'000;
   for (int r = 0; r < rounds; ++r) {
-    const auto decision = sched.decide(n, candidates);
+    const auto decision = decide_aos(sched, n, candidates);
     EXPECT_TRUE(decision_is_matching(decision, voqs));
     for (FlowId f : decision.selected) {
       const Flow& flow = voqs.flow(f);

@@ -189,7 +189,8 @@ TEST(Engine, ExportsMetricsWhenObsEnabled) {
   EXPECT_EQ(registry.counters().at("sim.events_executed").value(), 3);
   EXPECT_DOUBLE_EQ(registry.gauges().at("sim.calendar_peak").max(), 3.0);
   EXPECT_DOUBLE_EQ(registry.gauges().at("sim.calendar_depth").value(), 0.0);
-  EXPECT_EQ(registry.histograms().at("sim.run_chunk_ns").count(), 1u);
+  EXPECT_EQ(registry.phase(obs::Phase::kRunChunk).calls, 1u);
+  EXPECT_EQ(registry.phase(obs::Phase::kEventDispatch).calls, 3u);
   obs::Registry::global().reset();
   obs::set_enabled(was_enabled);
 }
