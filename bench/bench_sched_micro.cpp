@@ -25,6 +25,7 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
+#include "fabric/candidate_cache.hpp"
 #include "matching/birkhoff.hpp"
 #include "matching/greedy.hpp"
 #include "matching/hopcroft_karp.hpp"
@@ -220,6 +221,54 @@ std::vector<std::pair<PortId, int>> perf_sizes(sched::Policy policy) {
   }
 }
 
+/// The simulators' decision path under churn: a cache over a live
+/// VoqMatrix, refreshed and decided on after every small mutation, so
+/// the greedy schedulers' kept order is what gets measured. Each step
+/// is one completion event followed by one arrival: the previous
+/// decision's flows drain by the same amount (equal rates), which
+/// completes the one closest to done, and one flow is admitted. One
+/// completion and one arrival per step keep the population fixed.
+struct DecideChurn {
+  VoqMatrix voqs;
+  fabric::CandidateCache cache;
+  Rng rng;
+  sched::Decision decision;
+  queueing::FlowId next_id;
+
+  DecideChurn(PortId ports, int flows, std::uint64_t seed)
+      : voqs(random_state(ports, flows, seed)),
+        cache(voqs, 1.0, false),
+        rng(seed + 1),
+        next_id(flows) {}
+
+  void step() {
+    const std::vector<queueing::FlowId>& served = decision.selected;
+    if (!served.empty()) {
+      queueing::FlowId done = served[0];
+      for (const queueing::FlowId id : served) {
+        if (voqs.flow(id).remaining < voqs.flow(done).remaining) {
+          done = id;
+        }
+      }
+      const Bytes amount = voqs.flow(done).remaining;
+      for (const queueing::FlowId id : served) {
+        voqs.drain(id, id == done ? amount : Bytes{amount.count - 1});
+      }
+    }
+    const PortId ports = voqs.ports();
+    Flow f;
+    f.id = next_id++;
+    f.src = static_cast<PortId>(rng.uniform_int(0, ports - 1));
+    f.dst = static_cast<PortId>(rng.uniform_int(0, ports - 2));
+    if (f.dst >= f.src) {
+      ++f.dst;
+    }
+    f.size = Bytes{rng.uniform_int(1, 33'000)};
+    f.remaining = f.size;
+    voqs.add_flow(f);
+  }
+};
+
 int run_perf_mode(const std::string& list, const std::string& out_path,
                   int warmup, int reps, int batch) {
   perf::BenchRecord record = perf::make_record("sched_micro", warmup, reps);
@@ -302,6 +351,47 @@ int run_perf_mode(const std::string& list, const std::string& out_path,
                   m.ops_per_sec * static_cast<double>(nb), m.ns_p99,
                   m.allocs_per_op / static_cast<double>(nb),
                   m.rep_spread_frac * 100.0);
+    }
+    if (spec.policy != sched::Policy::kSrpt &&
+        spec.policy != sched::Policy::kFastBasrpt) {
+      continue;
+    }
+    for (const auto& [ports, flows] : perf_sizes(spec.policy)) {
+      DecideChurn churn(ports, flows, 42);
+      scheduler->decide_into(ports, churn.cache.refresh(), churn.decision);
+      const std::size_t start_candidates = churn.cache.refresh().size();
+      const perf::Measurement m = perf::measure_op(
+          [&] {
+            scheduler->decide_into(ports, churn.cache.refresh(),
+                                   churn.decision);
+            benchmark::DoNotOptimize(churn.decision.selected.data());
+          },
+          options, [&] { churn.step(); });
+
+      perf::BenchCase c;
+      c.label = "decide/" + spec.to_string() +
+                "/churn/ports=" + std::to_string(ports);
+      c.param("scheduler", spec.to_string());
+      c.param("ports", std::to_string(ports));
+      c.param("flows", std::to_string(flows));
+      c.param("candidates_start", std::to_string(start_candidates));
+      c.param("candidates_end", std::to_string(churn.cache.refresh().size()));
+      c.param("simd", simd);
+      c.param("iters_per_rep", std::to_string(m.iters_per_rep));
+      c.metric("decisions_per_sec", m.ops_per_sec);
+      c.metric("ns_mean", m.ns_mean);
+      c.metric("ns_p50", m.ns_p50);
+      c.metric("ns_p99", m.ns_p99);
+      c.metric("ns_p999", m.ns_p999);
+      c.metric("allocs_per_decision", m.allocs_per_op);
+      c.metric("rep_spread_frac", m.rep_spread_frac);
+      record.cases.push_back(std::move(c));
+      std::printf("%-40s %12.0f decisions/s  p99 %7.0f ns  "
+                  "allocs/op %.3f  spread %.1f%%  candidates %zu -> %s\n",
+                  record.cases.back().label.c_str(), m.ops_per_sec, m.ns_p99,
+                  m.allocs_per_op, m.rep_spread_frac * 100.0,
+                  start_candidates,
+                  std::to_string(churn.cache.refresh().size()).c_str());
     }
   }
   perf::write_record_file(out_path, record);

@@ -177,10 +177,11 @@ def exact(path):
     doc = json.load(open(path))
     hists = {name: ({"count": h["count"]} if name.endswith("_ns") else h)
              for name, h in doc["histograms"].items()}
-    phases = {name: p["calls"] for name, p in doc["phases"].items()}
+    phases = {name: (p["calls"], p["work"])
+              for name, p in doc["phases"].items()}
     return doc["counters"], doc["gauges"], hists, phases
 j1, j4 = exact(sys.argv[1]), exact(sys.argv[2])
-assert j1[3].get("decide", 0) > 0, "no decide phase recorded"
+assert j1[3].get("decide", (0, 0))[0] > 0, "no decide phase recorded"
 for what, a, b in zip(("counters", "gauges", "histograms", "phases"), j1, j4):
     assert a == b, f"--jobs 4 {what} diverge from --jobs 1: {a} vs {b}"
 print(f"tsan sweep: --profile --metrics merge exact "

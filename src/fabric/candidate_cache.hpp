@@ -5,16 +5,25 @@
 // probes and flow-table lookups each time, even though an arrival or a
 // drain touches exactly one VOQ. This cache keeps one VoqCandidate per
 // VOQ in a persistently allocated dense array, recomputes only the VOQs
-// the matrix reports dirty (VoqMatrix::dirty_voqs), then transposes the
-// non-empty entries into contiguous SoA lanes (sched::CandidateView) in
+// the matrix reports dirty (VoqMatrix::dirty_voqs), and keeps the
+// non-empty entries as contiguous SoA lanes (sched::CandidateView) in
 // the matrix's non-empty order — the same order build_candidates
 // produces, so order-sensitive schedulers (exact BASRPT's enumeration
-// ties, BvN's selection order) behave identically. The transpose is a
-// set of strided gathers the src/simd kernels vectorize.
+// ties, BvN's selection order) behave identically.
+//
+// Each refresh compares the packed VOQ order with the previous one and
+// rewrites only the lane positions whose VOQ is dirty or has moved (the
+// matrix's swap-remove moves one VOQ per emptied queue). The view lists
+// those positions in changes(), together with this cache's identity —
+// unique for the life of the process, never its address, so a cache
+// re-created in the same storage starts a new chain — and the refresh
+// sequence number. Greedy schedulers use it to re-sort only what
+// changed (matching::GreedyMatcher).
 //
 // Steady-state cost per refresh: O(#dirty VOQs) candidate recomputes
-// plus O(#non-empty VOQs) lane gathers, with zero heap allocation once
-// the lanes have warmed to the fabric's footprint.
+// and lane writes plus an O(#non-empty VOQs) index comparison, with
+// zero heap allocation once the lanes have warmed to the fabric's
+// footprint.
 //
 // The cache consumes the matrix's dirty list (clear_dirty), so attach
 // at most one cache — or any single dirty-consuming observer — per
@@ -40,9 +49,15 @@ class CandidateCache {
   CandidateCache(const queueing::VoqMatrix& voqs, double unit_bytes,
                  bool with_arrival = true);
 
+  // A copy would continue this cache's chain with diverging lanes.
+  CandidateCache(const CandidateCache&) = delete;
+  CandidateCache& operator=(const CandidateCache&) = delete;
+
   /// Brings the cache up to date with the matrix and returns the packed
   /// candidate view (one entry per non-empty VOQ whose ports are usable,
-  /// matrix order). The view stays valid until the next refresh().
+  /// matrix order). Every call is one refresh: the view's changes() list
+  /// the positions rewritten since the previous call (none when nothing
+  /// changed). The view stays valid until the next refresh().
   const sched::CandidateView& refresh();
 
   /// Marks a port usable/unusable (fault blackout): candidates whose
@@ -65,9 +80,13 @@ class CandidateCache {
   std::uint64_t candidates_masked() const { return candidates_masked_; }
 
  private:
+  /// Writes entry `idx` into lane position `k` and lists `k` as changed.
+  void write_lanes(std::size_t k, std::size_t idx);
+
   const queueing::VoqMatrix& voqs_;
   double unit_bytes_;
   bool with_arrival_;
+  std::uint64_t id_;  // process-unique; the view's changes().source
 
   std::uint64_t seen_version_ = 0;
   std::uint64_t refreshes_ = 0;
@@ -83,7 +102,9 @@ class CandidateCache {
   std::uint64_t seen_mask_epoch_ = 0;
 
   std::vector<sched::VoqCandidate> entries_;  // dense, by flat VOQ index
+  std::vector<std::uint64_t> recomputed_at_;  // refresh that last filled it
   std::vector<std::uint32_t> packed_idx_;     // flat indexes, packed order
+  std::vector<std::uint32_t> changed_;        // positions this refresh wrote
   sched::CandidateSoA soa_;                   // packed lanes
   sched::CandidateView view_;
 };

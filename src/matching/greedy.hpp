@@ -33,6 +33,20 @@ struct GreedyResult {
 GreedyResult greedy_maximal(std::vector<ScoredCandidate> candidates,
                             PortId n_left, PortId n_right);
 
+/// Where a set of candidate lanes came from, so GreedyMatcher can keep
+/// its order across calls. `source` names one lane producer and is
+/// unique for the life of the process (0 = untracked: the matcher
+/// rebuilds its order from scratch); `seq` numbers the producer's
+/// refreshes; `changed` lists the positions whose lanes the refresh
+/// `seq` rewrote. Every other position below the new size holds the
+/// lanes it held at refresh `seq - 1`.
+struct LaneChanges {
+  std::uint64_t source = 0;
+  std::uint64_t seq = 0;
+  const std::uint32_t* changed = nullptr;
+  std::size_t changed_count = 0;
+};
+
 /// Allocation-free variant of greedy_maximal for hot decision loops:
 /// port-usage and sort scratch persist across calls, candidates arrive
 /// as SoA lanes (the sched::CandidateView layout — the score lane is
@@ -42,10 +56,17 @@ GreedyResult greedy_maximal(std::vector<ScoredCandidate> candidates,
 /// schedulers): the (score, payload) key is then a total order, so no
 /// two sort algorithms can disagree on the order.
 ///
-/// Ordering strategy, chosen per call:
-///  * already sorted (nondecreasing scores, payload-ordered ties — a
-///    simd scan that bails on the first inversion): skip sorting
-///    entirely and scan the lanes in place;
+/// The matcher keeps the (score, payload) order of its last call. When
+/// the lanes continue the chain that call saw (same LaneChanges source,
+/// next or same seq, same port counts), it drops the changed and
+/// vanished positions from that order, sorts only the changed ones and
+/// merges them back: O(changed log changed + n) instead of a full sort.
+/// This requires a score that depends only on the lanes at its own
+/// position and on the call's port counts — true of every caller here.
+/// Anything else (an untracked view, another source, a skipped seq)
+/// rebuilds the order from scratch.
+///
+/// Sorting strategy, chosen by the number of entries sorted:
 ///  * small sets: comparison-sort compact 16-byte records;
 ///  * large sets: a value-linear bucket scatter — a monotone bucket map
 ///    fitted to ~128 strided score samples (one linear piece, or two
@@ -64,10 +85,18 @@ class GreedyMatcher {
   /// Clears `out`, then appends the payloads of the accepted candidates
   /// in selection (sorted) order. Lane pointers must each hold `n`
   /// elements; scores must be NaN-free. No heap allocation once the
-  /// scratch has warmed to the fabric size.
+  /// scratch has warmed to the fabric size. Untracked: sorts all `n`.
   void match_lanes_into(const double* score, const PortId* left,
                         const PortId* right, const std::int64_t* payload,
                         std::size_t n, PortId n_left, PortId n_right,
+                        std::vector<std::int64_t>& out);
+
+  /// Same selection, re-sorting only what `changes` says changed when
+  /// it continues the previous call's chain.
+  void match_lanes_into(const double* score, const PortId* left,
+                        const PortId* right, const std::int64_t* payload,
+                        std::size_t n, PortId n_left, PortId n_right,
+                        const LaneChanges& changes,
                         std::vector<std::int64_t>& out);
 
   /// AoS adapter over match_lanes_into for callers holding
@@ -77,15 +106,15 @@ class GreedyMatcher {
                   PortId n_left, PortId n_right,
                   std::vector<std::int64_t>& out);
 
-  /// Below this many candidates, comparison sort beats the bucket
+  /// Below this many entries, comparison sort beats the bucket
   /// histogram setup cost. Port counts >= 65536 also take a comparison
   /// path (ports are packed into 16 bits in the sort records).
   static constexpr std::size_t kRadixThreshold = 128;
 
  private:
-  /// Bucket-sort record: the exact score for comparisons, the
-  /// candidate's index for payload fetch, and its ports for the accept
-  /// scan. 16 bytes, so the scatter and sweep move compact rows.
+  /// Sort record: the exact score for comparisons, the candidate's
+  /// position for payload fetch, and its ports for the accept scan. 16
+  /// bytes, so the scatter, sweep and merge move compact rows.
   struct Rec {
     double score;
     std::uint32_t idx;
@@ -102,12 +131,18 @@ class GreedyMatcher {
     std::uint32_t idx;
   };
 
-  /// Sorts recs_ (n entries) into exact (score, payload) order via the
-  /// sampled piecewise-linear bucket scatter. Returns false when the
-  /// distribution defeats the map (caller then radix-sorts instead).
+  /// Sorts the `n` lane entries into `recs` in exact (score, payload)
+  /// order, dispatching on n; records carry lane positions.
+  void sort_recs(const double* score, const PortId* left, const PortId* right,
+                 const std::int64_t* payload, std::size_t n,
+                 std::vector<Rec>& recs);
+
+  /// Sorts the `n` entries into `recs` in exact (score, payload) order
+  /// via the sampled piecewise-linear bucket scatter. Returns false when
+  /// the distribution defeats the map (caller then radix-sorts instead).
   bool sort_recs_bucket(const double* score, const PortId* left,
                         const PortId* right, const std::int64_t* payload,
-                        std::size_t n);
+                        std::size_t n, std::vector<Rec>& recs);
 
   /// Sorts rrecs_a_ into exact (score, payload) order via LSD radix
   /// over coarse keys; handles any score distribution.
@@ -115,17 +150,33 @@ class GreedyMatcher {
                        const PortId* left, const PortId* right,
                        std::size_t n);
 
+  /// Brings order_ up to the lanes: drops the changed and vanished
+  /// positions, sorts the changed ones and merges them in. Returns the
+  /// number of entries sorted.
+  std::size_t update_order(const double* score, const PortId* left,
+                           const PortId* right, const std::int64_t* payload,
+                           std::size_t n, const LaneChanges& changes);
+
   std::vector<char> left_used_;
   std::vector<char> right_used_;
   std::vector<double> samples_;        // strided score sample, sorted
-  std::vector<Rec> recs_;
+  std::vector<Rec> recs_;              // the changed entries, sorted
   std::vector<std::uint32_t> bidx_;
   std::vector<std::uint32_t> hist_;
   std::vector<std::uint32_t> starts_;
   std::vector<RadixRec> rrecs_a_;
   std::vector<RadixRec> rrecs_b_;
-  std::vector<std::uint32_t> order_;   // huge-port-count fallback
-  // Lane scratch for the AoS adapter.
+  std::vector<std::uint32_t> perm_;    // huge-port-count fallback
+
+  // The kept order and the chain it belongs to.
+  std::vector<Rec> order_;
+  std::uint64_t source_ = 0;           // 0: order_ tracks no chain
+  std::uint64_t seq_ = 0;
+  PortId n_left_ = 0;
+  PortId n_right_ = 0;
+  std::vector<char> stale_;            // per position, during update
+
+  // Lane scratch for the AoS adapter and for the changed entries.
   std::vector<double> score_s_;
   std::vector<PortId> left_s_;
   std::vector<PortId> right_s_;

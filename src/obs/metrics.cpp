@@ -44,6 +44,7 @@ const char* phase_name(Phase phase) {
 
 void PhaseStats::merge_from(const PhaseStats& other) {
   calls += other.calls;
+  work += other.work;
   total_ns += other.total_ns;
   self_ns += other.self_ns;
   allocs += other.allocs;

@@ -174,6 +174,7 @@ const char* phase_name(Phase phase);
 /// One phase's row in a Registry's phase table.
 struct PhaseStats {
   std::uint64_t calls = 0;
+  std::uint64_t work = 0;         // exact items touched (ScopedPhase::add_work)
   std::uint64_t total_ns = 0;     // inclusive of nested phases
   std::uint64_t self_ns = 0;      // exclusive: total minus nested phases
   std::uint64_t allocs = 0;       // attributed while alloc counting is on

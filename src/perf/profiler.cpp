@@ -80,6 +80,7 @@ void ScopedPhase::record() {
   }
   obs::PhaseStats& row = registry_->phase(phase_);
   ++row.calls;
+  row.work += work_;
   row.total_ns += elapsed;
   row.self_ns += elapsed >= child_ns_ ? elapsed - child_ns_ : 0;
   row.ns.add(elapsed);
@@ -110,6 +111,7 @@ json::Value profile_json(const obs::Registry& registry,
     }
     json::Value p = json::Value::object();
     p.set("calls", number(s.calls));
+    p.set("work", number(s.work));
     p.set("total_ns", number(s.total_ns));
     p.set("self_ns", number(s.self_ns));
     if (s.ns.count() > 0) {

@@ -71,6 +71,9 @@ class ScopedPhase {
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
 
+  /// Adds to the phase's exact work count (items the call touched).
+  void add_work(std::uint64_t items) { work_ += items; }
+
  private:
   friend void note_alloc(std::size_t);
 
@@ -81,6 +84,7 @@ class ScopedPhase {
   obs::Registry* registry_ = nullptr;  // non-null iff armed
   std::uint64_t start_ns_ = 0;
   std::uint64_t child_ns_ = 0;
+  std::uint64_t work_ = 0;
   ScopedPhase* parent_ = nullptr;
 };
 

@@ -114,6 +114,7 @@ void write_metrics_json(std::ostream& out, const obs::Registry& registry,
     }
     Value row = Value::object();
     row.set("calls", integer(s.calls));
+    row.set("work", integer(s.work));
     row.set("total_ns", integer(s.total_ns));
     row.set("self_ns", integer(s.self_ns));
     row.set("allocs", integer(s.allocs));
@@ -152,6 +153,7 @@ void write_metrics_csv(std::ostream& out, const obs::Registry& registry,
     }
     const std::string name = obs::phase_name(phase);
     out << "phase," << name << ",calls," << s.calls << "\n";
+    out << "phase," << name << ",work," << s.work << "\n";
     out << "phase," << name << ",total_ns," << s.total_ns << "\n";
     out << "phase," << name << ",self_ns," << s.self_ns << "\n";
     out << "phase," << name << ",allocs," << s.allocs << "\n";

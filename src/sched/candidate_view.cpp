@@ -31,10 +31,8 @@ void CandidateSoA::clear() {
   ingress.clear();
   egress.clear();
   backlog.clear();
-  flow_count.clear();
   shortest_flow.clear();
   shortest_remaining.clear();
-  shortest_arrival.clear();
   oldest_flow.clear();
   oldest_arrival.clear();
 }
@@ -43,10 +41,8 @@ void CandidateSoA::resize_lanes(std::size_t n) {
   ingress.resize(n);
   egress.resize(n);
   backlog.resize(n);
-  flow_count.resize(n);
   shortest_flow.resize(n);
   shortest_remaining.resize(n);
-  shortest_arrival.resize(n);
   oldest_flow.resize(with_arrival ? n : 0);
   oldest_arrival.resize(with_arrival ? n : 0);
 }
@@ -60,10 +56,8 @@ void CandidateSoA::assign_from_aos(const std::vector<VoqCandidate>& aos,
     ingress[k] = c.ingress;
     egress[k] = c.egress;
     backlog[k] = c.backlog;
-    flow_count[k] = static_cast<std::uint32_t>(c.flow_count);
     shortest_flow[k] = c.shortest_flow;
     shortest_remaining[k] = c.shortest_remaining;
-    shortest_arrival[k] = c.shortest_arrival;
     if (arrival) {
       oldest_flow[k] = c.oldest_flow;
       oldest_arrival[k] = c.oldest_arrival;
@@ -76,11 +70,9 @@ void CandidateSoA::assign_from_view(const CandidateView& v) {
   ingress.assign(v.ingress(), v.ingress() + n);
   egress.assign(v.egress(), v.egress() + n);
   backlog.assign(v.backlog(), v.backlog() + n);
-  flow_count.assign(v.flow_count(), v.flow_count() + n);
   shortest_flow.assign(v.shortest_flow(), v.shortest_flow() + n);
   shortest_remaining.assign(v.shortest_remaining(),
                             v.shortest_remaining() + n);
-  shortest_arrival.assign(v.shortest_arrival(), v.shortest_arrival() + n);
   with_arrival = v.has_arrival_lane();
   if (with_arrival) {
     oldest_flow.assign(v.oldest_flow(), v.oldest_flow() + n);
@@ -94,9 +86,8 @@ void CandidateSoA::assign_from_view(const CandidateView& v) {
 CandidateView CandidateSoA::view() const {
   const std::size_t n = ingress.size();
   const bool core_consistent =
-      egress.size() == n && backlog.size() == n && flow_count.size() == n &&
-      shortest_flow.size() == n && shortest_remaining.size() == n &&
-      shortest_arrival.size() == n;
+      egress.size() == n && backlog.size() == n &&
+      shortest_flow.size() == n && shortest_remaining.size() == n;
   const std::size_t arrival_n = with_arrival ? n : 0;
   BASRPT_REQUIRE(core_consistent && oldest_flow.size() == arrival_n &&
                      oldest_arrival.size() == arrival_n,
@@ -106,10 +97,8 @@ CandidateView CandidateSoA::view() const {
   v.ingress_ = ingress.data();
   v.egress_ = egress.data();
   v.backlog_ = backlog.data();
-  v.flow_count_ = flow_count.data();
   v.shortest_flow_ = shortest_flow.data();
   v.shortest_remaining_ = shortest_remaining.data();
-  v.shortest_arrival_ = shortest_arrival.data();
   if (with_arrival) {
     v.oldest_flow_ = oldest_flow.data();
     v.oldest_arrival_ = oldest_arrival.data();

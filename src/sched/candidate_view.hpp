@@ -8,17 +8,25 @@
 //
 // The arrival lanes (oldest_flow / oldest_arrival — the per-VOQ FIFO
 // representative) are optional: maintaining them costs an ordered-index
-// probe plus a flow-table lookup per VOQ and only FIFO reads them.
-// Presence is a property of the view, not a side-channel flag: a
-// scheduler that asks for an absent lane gets a ConfigError, never
-// silent zeros.
+// probe per VOQ and only FIFO reads them. Presence is a property of the
+// view, not a side-channel flag: a scheduler that asks for an absent
+// lane gets a ConfigError, never silent zeros.
+//
+// A view from the cache also says which positions its refresh rewrote
+// (changes()), so greedy schedulers re-sort only those; views built
+// here (CandidateSoA::view, from_aos) are untracked.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "matching/greedy.hpp"
 #include "queueing/flow.hpp"
+
+namespace basrpt::fabric {
+class CandidateCache;
+}  // namespace basrpt::fabric
 
 namespace basrpt::sched {
 
@@ -34,10 +42,8 @@ struct VoqCandidate {
   PortId ingress = 0;
   PortId egress = 0;
   double backlog = 0.0;             // total VOQ backlog X_ij, packets
-  std::size_t flow_count = 0;       // flows queued in this VOQ
   FlowId shortest_flow = queueing::kInvalidFlow;
   double shortest_remaining = 0.0;  // packets
-  double shortest_arrival = 0.0;    // arrival time of that flow, seconds
   FlowId oldest_flow = queueing::kInvalidFlow;
   double oldest_arrival = 0.0;      // seconds
 };
@@ -46,7 +52,8 @@ class CandidateSoA;
 
 /// Non-owning lane pointers over `size()` candidates, one per non-empty
 /// VOQ. Obtained from CandidateSoA::view() (or CandidateCache::refresh(),
-/// which wraps one). Valid until the backing storage is mutated.
+/// which wraps one and adds its change list). Valid until the backing
+/// storage is mutated.
 class CandidateView {
  public:
   CandidateView() = default;
@@ -64,10 +71,8 @@ class CandidateView {
   const PortId* ingress() const { return ingress_; }
   const PortId* egress() const { return egress_; }
   const double* backlog() const { return backlog_; }
-  const std::uint32_t* flow_count() const { return flow_count_; }
   const FlowId* shortest_flow() const { return shortest_flow_; }
   const double* shortest_remaining() const { return shortest_remaining_; }
-  const double* shortest_arrival() const { return shortest_arrival_; }
 
   bool has_arrival_lane() const { return oldest_flow_ != nullptr; }
   /// Throw ConfigError when the arrival lanes were not built — the
@@ -75,19 +80,23 @@ class CandidateView {
   const FlowId* oldest_flow() const;
   const double* oldest_arrival() const;
 
+  /// Which positions changed since the producer's previous refresh
+  /// (untracked — source 0 — unless the view came from the cache).
+  const matching::LaneChanges& changes() const { return changes_; }
+
  private:
   friend class CandidateSoA;
+  friend class fabric::CandidateCache;
 
   std::size_t size_ = 0;
   const PortId* ingress_ = nullptr;
   const PortId* egress_ = nullptr;
   const double* backlog_ = nullptr;
-  const std::uint32_t* flow_count_ = nullptr;
   const FlowId* shortest_flow_ = nullptr;
   const double* shortest_remaining_ = nullptr;
-  const double* shortest_arrival_ = nullptr;
   const FlowId* oldest_flow_ = nullptr;      // null when lane absent
   const double* oldest_arrival_ = nullptr;   // null when lane absent
+  matching::LaneChanges changes_;
 };
 
 /// Owning lane storage. Lanes are public so builders (the cache's
@@ -98,10 +107,8 @@ class CandidateSoA {
   std::vector<PortId> ingress;
   std::vector<PortId> egress;
   std::vector<double> backlog;
-  std::vector<std::uint32_t> flow_count;
   std::vector<FlowId> shortest_flow;
   std::vector<double> shortest_remaining;
-  std::vector<double> shortest_arrival;
   std::vector<FlowId> oldest_flow;     // empty when with_arrival is false
   std::vector<double> oldest_arrival;  // empty when with_arrival is false
 
@@ -118,8 +125,9 @@ class CandidateSoA {
   void assign_from_aos(const std::vector<VoqCandidate>& aos,
                        bool arrival = true);
 
-  /// Copies another view's lanes (including arrival-lane presence).
-  /// Decorators use this to mutate a lane before forwarding.
+  /// Copies another view's lanes (including arrival-lane presence, not
+  /// its change tracking). Decorators use this to mutate a lane before
+  /// forwarding.
   void assign_from_view(const CandidateView& v);
 
   /// Validating accessor: throws ConfigError if any present lane's

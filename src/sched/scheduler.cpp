@@ -27,19 +27,15 @@ void fill_candidate(const queueing::VoqMatrix& voqs, PortId i, PortId j,
   out.ingress = i;
   out.egress = j;
   out.backlog = static_cast<double>(voqs.backlog(i, j).count) / unit_bytes;
-  out.flow_count = voqs.flow_count(i, j);
 
-  // The ordered-index head entries carry (key, id, slot) directly: the
-  // SRPT key IS the remaining size and the arrival key IS the oldest
-  // arrival, so neither candidate field needs a FlowId hash lookup. Only
-  // the shortest flow's arrival time requires touching the Flow record,
-  // and that is a direct slot deref into the slab.
+  // The ordered-index head entries carry (key, id) directly: the SRPT
+  // key IS the remaining size and the arrival key IS the oldest arrival,
+  // so no candidate field touches a flow record.
   const auto& se = voqs.shortest_entry(i, j);
   BASRPT_ASSERT(se.id != queueing::kInvalidFlow,
                 "non-empty VOQ without flows");
   out.shortest_flow = se.id;
   out.shortest_remaining = static_cast<double>(se.key) / unit_bytes;
-  out.shortest_arrival = voqs.flow_at(se.slot).arrival.seconds;
 
   if (with_arrival) {
     const auto& oe = voqs.oldest_entry(i, j);

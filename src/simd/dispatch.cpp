@@ -117,14 +117,6 @@ void compute_keys(KeyOp op, double p0, double p1, const double* sr,
   detail::active_table().compute_keys(op, p0, p1, sr, backlog, n, out);
 }
 
-MinMax minmax_f64(const double* x, std::size_t n) {
-  return detail::active_table().minmax_f64(x, n);
-}
-
-SortedScan sorted_scan_f64(const double* x, std::size_t n) {
-  return detail::active_table().sorted_scan_f64(x, n);
-}
-
 void bucket_indexes(const double* x, double mn, double inv, std::uint32_t cap,
                     std::size_t n, std::uint32_t* out) {
   detail::active_table().bucket_indexes(x, mn, inv, cap, n, out);
@@ -140,27 +132,6 @@ void bucket_indexes_2piece(const double* x, double split, double lo0,
 
 bool bounds_ok_i32(const std::int32_t* x, std::size_t n, std::int32_t limit) {
   return detail::active_table().bounds_ok_i32(x, n, limit);
-}
-
-void gather_f64(const void* base, std::size_t stride_bytes,
-                const std::uint32_t* idx, std::size_t n, double* out) {
-  detail::active_table().gather_f64(base, stride_bytes, idx, n, out);
-}
-
-void gather_i64(const void* base, std::size_t stride_bytes,
-                const std::uint32_t* idx, std::size_t n, std::int64_t* out) {
-  detail::active_table().gather_i64(base, stride_bytes, idx, n, out);
-}
-
-void gather_i32(const void* base, std::size_t stride_bytes,
-                const std::uint32_t* idx, std::size_t n, std::int32_t* out) {
-  detail::active_table().gather_i32(base, stride_bytes, idx, n, out);
-}
-
-void gather_u32_from_size(const void* base, std::size_t stride_bytes,
-                          const std::uint32_t* idx, std::size_t n,
-                          std::uint32_t* out) {
-  detail::active_table().gather_u32_from_size(base, stride_bytes, idx, n, out);
 }
 
 }  // namespace basrpt::simd

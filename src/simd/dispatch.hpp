@@ -8,10 +8,9 @@
 // tests pin each side in turn).
 //
 // Every variant of every kernel is bit-identical by construction: the
-// vector paths use the same IEEE operations in the same order as the
-// scalar fallback (multiply-then-subtract, never FMA; min/max without
-// reassociation across lanes is safe because min/max are associative
-// and commutative for the NaN-free inputs the kernels contract for).
+// vector paths use the same per-element IEEE operations in the same
+// order as the scalar fallback (multiply-then-subtract, never FMA) and
+// never reduce across lanes.
 // A scalar-built binary (-DBASRPT_SIMD=OFF) therefore produces the same
 // figure CSVs byte for byte — CI enforces this.
 #pragma once

@@ -34,26 +34,6 @@ enum class KeyOp {
 void compute_keys(KeyOp op, double p0, double p1, const double* sr,
                   const double* backlog, std::size_t n, double* out);
 
-struct MinMax {
-  double min;
-  double max;
-};
-
-/// Min and max of a NaN-free lane. n must be >= 1.
-MinMax minmax_f64(const double* x, std::size_t n);
-
-struct SortedScan {
-  bool nondecreasing;        // x[i] <= x[i+1] for all adjacent pairs
-  // Some x[i] == x[i+1] (equal runs need a payload-order check).
-  // Meaningful only when `nondecreasing`; on early inversion exit the
-  // variants may disagree about pairs scanned so far.
-  bool any_equal_adjacent;
-};
-
-/// Scans for sort order; exits early on the first inversion so the cost
-/// on unsorted input is a few elements.
-SortedScan sorted_scan_f64(const double* x, std::size_t n);
-
 /// out[i] = min(cap, (uint32_t)max(0.0, (x[i] - mn) * inv)) — the
 /// value-linear bucket index used by the matcher's scatter sort. `mn`
 /// may be a robust (sampled) lower bound rather than the true minimum:
@@ -78,20 +58,6 @@ void bucket_indexes_2piece(const double* x, double split, double lo0,
 /// validation over the ingress/egress lanes.
 bool bounds_ok_i32(const std::int32_t* x, std::size_t n, std::int32_t limit);
 
-/// Strided gathers for the CandidateCache repack: out[i] = *(const T*)
-/// (base + idx[i] * stride_bytes). `stride_bytes` is the size of the AoS
-/// record (sizeof(VoqCandidate)); idx holds flat entry indexes.
-void gather_f64(const void* base, std::size_t stride_bytes,
-                const std::uint32_t* idx, std::size_t n, double* out);
-void gather_i64(const void* base, std::size_t stride_bytes,
-                const std::uint32_t* idx, std::size_t n, std::int64_t* out);
-void gather_i32(const void* base, std::size_t stride_bytes,
-                const std::uint32_t* idx, std::size_t n, std::int32_t* out);
-/// Gather of size_t-typed AoS fields narrowed to uint32 (flow counts).
-void gather_u32_from_size(const void* base, std::size_t stride_bytes,
-                          const std::uint32_t* idx, std::size_t n,
-                          std::uint32_t* out);
-
 // Per-ISA implementation tables, linked from the per-ISA translation
 // units. Not part of the public API; exposed for the dispatcher and the
 // differential tests (which call each ISA directly).
@@ -100,22 +66,12 @@ namespace detail {
 struct KernelTable {
   void (*compute_keys)(KeyOp, double, double, const double*, const double*,
                        std::size_t, double*);
-  MinMax (*minmax_f64)(const double*, std::size_t);
-  SortedScan (*sorted_scan_f64)(const double*, std::size_t);
   void (*bucket_indexes)(const double*, double, double, std::uint32_t,
                          std::size_t, std::uint32_t*);
   void (*bucket_indexes_2piece)(const double*, double, double, double,
                                 std::uint32_t, double, double, std::uint32_t,
                                 std::uint32_t, std::size_t, std::uint32_t*);
   bool (*bounds_ok_i32)(const std::int32_t*, std::size_t, std::int32_t);
-  void (*gather_f64)(const void*, std::size_t, const std::uint32_t*,
-                     std::size_t, double*);
-  void (*gather_i64)(const void*, std::size_t, const std::uint32_t*,
-                     std::size_t, std::int64_t*);
-  void (*gather_i32)(const void*, std::size_t, const std::uint32_t*,
-                     std::size_t, std::int32_t*);
-  void (*gather_u32_from_size)(const void*, std::size_t, const std::uint32_t*,
-                               std::size_t, std::uint32_t*);
 };
 
 const KernelTable& scalar_table();

@@ -1,7 +1,7 @@
-// AVX2 kernel variants (4-wide doubles, hardware gathers). This TU is
-// the only one compiled with -mavx2; everything else in the binary stays
-// baseline x86-64 so a non-AVX2 host never executes these instructions
-// (dispatch checks __builtin_cpu_supports first).
+// AVX2 kernel variants (4-wide doubles). This TU is the only one
+// compiled with -mavx2; everything else in the binary stays baseline
+// x86-64 so a non-AVX2 host never executes these instructions (dispatch
+// checks __builtin_cpu_supports first).
 #if defined(BASRPT_SIMD_ENABLED)
 
 #include <immintrin.h>
@@ -60,56 +60,6 @@ void compute_keys_avx2(KeyOp op, double p0, double p1, const double* sr,
       return;
     }
   }
-}
-
-MinMax minmax_avx2(const double* x, std::size_t n) {
-  std::size_t i = 0;
-  MinMax mm{x[0], x[0]};
-  if (n >= 4) {
-    __m256d vmin = _mm256_loadu_pd(x);
-    __m256d vmax = vmin;
-    for (i = 4; i + 4 <= n; i += 4) {
-      const __m256d v = _mm256_loadu_pd(x + i);
-      vmin = _mm256_min_pd(vmin, v);
-      vmax = _mm256_max_pd(vmax, v);
-    }
-    double lo[4], hi[4];
-    _mm256_storeu_pd(lo, vmin);
-    _mm256_storeu_pd(hi, vmax);
-    mm.min = std::min(std::min(lo[0], lo[1]), std::min(lo[2], lo[3]));
-    mm.max = std::max(std::max(hi[0], hi[1]), std::max(hi[2], hi[3]));
-  } else {
-    i = 1;
-  }
-  for (; i < n; ++i) {
-    mm.min = std::min(mm.min, x[i]);
-    mm.max = std::max(mm.max, x[i]);
-  }
-  return mm;
-}
-
-SortedScan sorted_scan_avx2(const double* x, std::size_t n) {
-  SortedScan s{true, false};
-  std::size_t i = 1;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d prev = _mm256_loadu_pd(x + i - 1);
-    const __m256d cur = _mm256_loadu_pd(x + i);
-    if (_mm256_movemask_pd(_mm256_cmp_pd(prev, cur, _CMP_GT_OQ)) != 0) {
-      s.nondecreasing = false;
-      return s;
-    }
-    if (_mm256_movemask_pd(_mm256_cmp_pd(prev, cur, _CMP_EQ_OQ)) != 0) {
-      s.any_equal_adjacent = true;
-    }
-  }
-  for (; i < n; ++i) {
-    if (x[i - 1] > x[i]) {
-      s.nondecreasing = false;
-      return s;
-    }
-    if (x[i - 1] == x[i]) s.any_equal_adjacent = true;
-  }
-  return s;
 }
 
 void bucket_indexes_avx2(const double* x, double mn, double inv,
@@ -203,101 +153,14 @@ bool bounds_ok_i32_avx2(const std::int32_t* x, std::size_t n,
   return true;
 }
 
-// Byte offsets for scale-1 gathers: off[i] = idx[i] * stride. Candidate
-// counts are bounded by ports^2 (<= 2^32 / 64), so this never overflows
-// the int32 offset lanes.
-inline __m128i byte_offsets(const std::uint32_t* idx, std::size_t i,
-                            int stride) {
-  const __m128i v =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-  return _mm_mullo_epi32(v, _mm_set1_epi32(stride));
-}
-
-void gather_f64_avx2(const void* base, std::size_t stride,
-                     const std::uint32_t* idx, std::size_t n, double* out) {
-  const auto* b = static_cast<const double*>(base);
-  const int s = static_cast<int>(stride);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i,
-                     _mm256_i32gather_pd(b, byte_offsets(idx, i, s), 1));
-  }
-  for (; i < n; ++i) {
-    std::memcpy(&out[i],
-                static_cast<const char*>(base) +
-                    static_cast<std::size_t>(idx[i]) * stride,
-                sizeof(double));
-  }
-}
-
-void gather_i64_avx2(const void* base, std::size_t stride,
-                     const std::uint32_t* idx, std::size_t n,
-                     std::int64_t* out) {
-  const auto* b = static_cast<const long long*>(base);
-  const int s = static_cast<int>(stride);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v = _mm256_i32gather_epi64(b, byte_offsets(idx, i, s), 1);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), v);
-  }
-  for (; i < n; ++i) {
-    std::memcpy(&out[i],
-                static_cast<const char*>(base) +
-                    static_cast<std::size_t>(idx[i]) * stride,
-                sizeof(std::int64_t));
-  }
-}
-
-void gather_i32_avx2(const void* base, std::size_t stride,
-                     const std::uint32_t* idx, std::size_t n,
-                     std::int32_t* out) {
-  const auto* b = static_cast<const int*>(base);
-  const int s = static_cast<int>(stride);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i v = _mm_i32gather_epi32(b, byte_offsets(idx, i, s), 1);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), v);
-  }
-  for (; i < n; ++i) {
-    std::memcpy(&out[i],
-                static_cast<const char*>(base) +
-                    static_cast<std::size_t>(idx[i]) * stride,
-                sizeof(std::int32_t));
-  }
-}
-
-void gather_u32_from_size_avx2(const void* base, std::size_t stride,
-                               const std::uint32_t* idx, std::size_t n,
-                               std::uint32_t* out) {
-  const auto* b = static_cast<const long long*>(base);
-  const int s = static_cast<int>(stride);
-  const __m256i pack = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v = _mm256_i32gather_epi64(b, byte_offsets(idx, i, s), 1);
-    const __m256i low = _mm256_permutevar8x32_epi32(v, pack);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm256_castsi256_si128(low));
-  }
-  for (; i < n; ++i) {
-    std::size_t v;
-    std::memcpy(&v,
-                static_cast<const char*>(base) +
-                    static_cast<std::size_t>(idx[i]) * stride,
-                sizeof(std::size_t));
-    out[i] = static_cast<std::uint32_t>(v);
-  }
-}
-
 }  // namespace
 
 const KernelTable& avx2_table() {
   static const KernelTable table{
-      compute_keys_avx2,        minmax_avx2,
-      sorted_scan_avx2,         bucket_indexes_avx2,
-      bucket_indexes_2piece_avx2, bounds_ok_i32_avx2,
-      gather_f64_avx2,          gather_i64_avx2,
-      gather_i32_avx2,          gather_u32_from_size_avx2,
+      compute_keys_avx2,
+      bucket_indexes_avx2,
+      bucket_indexes_2piece_avx2,
+      bounds_ok_i32_avx2,
   };
   return table;
 }

@@ -33,27 +33,6 @@ void compute_keys_scalar(KeyOp op, double p0, double p1, const double* sr,
   }
 }
 
-MinMax minmax_scalar(const double* x, std::size_t n) {
-  MinMax mm{x[0], x[0]};
-  for (std::size_t i = 1; i < n; ++i) {
-    mm.min = std::min(mm.min, x[i]);
-    mm.max = std::max(mm.max, x[i]);
-  }
-  return mm;
-}
-
-SortedScan sorted_scan_scalar(const double* x, std::size_t n) {
-  SortedScan s{true, false};
-  for (std::size_t i = 1; i < n; ++i) {
-    if (x[i - 1] > x[i]) {
-      s.nondecreasing = false;
-      return s;
-    }
-    if (x[i - 1] == x[i]) s.any_equal_adjacent = true;
-  }
-  return s;
-}
-
 void bucket_indexes_scalar(const double* x, double mn, double inv,
                            std::uint32_t cap, std::size_t n,
                            std::uint32_t* out) {
@@ -95,52 +74,14 @@ bool bounds_ok_i32_scalar(const std::int32_t* x, std::size_t n,
   return true;
 }
 
-const void* at(const void* base, std::size_t stride, std::uint32_t i) {
-  return static_cast<const char*>(base) + static_cast<std::size_t>(i) * stride;
-}
-
-void gather_f64_scalar(const void* base, std::size_t stride,
-                       const std::uint32_t* idx, std::size_t n, double* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memcpy(&out[i], at(base, stride, idx[i]), sizeof(double));
-  }
-}
-
-void gather_i64_scalar(const void* base, std::size_t stride,
-                       const std::uint32_t* idx, std::size_t n,
-                       std::int64_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memcpy(&out[i], at(base, stride, idx[i]), sizeof(std::int64_t));
-  }
-}
-
-void gather_i32_scalar(const void* base, std::size_t stride,
-                       const std::uint32_t* idx, std::size_t n,
-                       std::int32_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memcpy(&out[i], at(base, stride, idx[i]), sizeof(std::int32_t));
-  }
-}
-
-void gather_u32_from_size_scalar(const void* base, std::size_t stride,
-                                 const std::uint32_t* idx, std::size_t n,
-                                 std::uint32_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t v;
-    std::memcpy(&v, at(base, stride, idx[i]), sizeof(std::size_t));
-    out[i] = static_cast<std::uint32_t>(v);
-  }
-}
-
 }  // namespace
 
 const KernelTable& scalar_table() {
   static const KernelTable table{
-      compute_keys_scalar,   minmax_scalar,
-      sorted_scan_scalar,    bucket_indexes_scalar,
-      bucket_indexes_2piece_scalar, bounds_ok_i32_scalar,
-      gather_f64_scalar,     gather_i64_scalar,
-      gather_i32_scalar,     gather_u32_from_size_scalar,
+      compute_keys_scalar,
+      bucket_indexes_scalar,
+      bucket_indexes_2piece_scalar,
+      bounds_ok_i32_scalar,
   };
   return table;
 }

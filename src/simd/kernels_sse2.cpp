@@ -1,7 +1,6 @@
 // SSE2 kernel variants (2-wide doubles). Compiled only when
 // BASRPT_SIMD_ENABLED; SSE2 is baseline on x86-64 so no extra target
-// flags are needed. Gathers have no SSE2 instruction — this table keeps
-// the scalar ones.
+// flags are needed.
 #if defined(BASRPT_SIMD_ENABLED)
 
 #include <emmintrin.h>
@@ -58,59 +57,6 @@ void compute_keys_sse2(KeyOp op, double p0, double p1, const double* sr,
       return;
     }
   }
-}
-
-MinMax minmax_sse2(const double* x, std::size_t n) {
-  // min/max are associative+commutative on NaN-free input, so lane-wise
-  // accumulation matches the scalar result (up to the sign of equal
-  // zeros, which no caller depends on).
-  std::size_t i = 0;
-  MinMax mm{x[0], x[0]};
-  if (n >= 2) {
-    __m128d vmin = _mm_loadu_pd(x);
-    __m128d vmax = vmin;
-    for (i = 2; i + 2 <= n; i += 2) {
-      const __m128d v = _mm_loadu_pd(x + i);
-      vmin = _mm_min_pd(vmin, v);
-      vmax = _mm_max_pd(vmax, v);
-    }
-    double lo[2], hi[2];
-    _mm_storeu_pd(lo, vmin);
-    _mm_storeu_pd(hi, vmax);
-    mm.min = std::min(lo[0], lo[1]);
-    mm.max = std::max(hi[0], hi[1]);
-  } else {
-    i = 1;
-  }
-  for (; i < n; ++i) {
-    mm.min = std::min(mm.min, x[i]);
-    mm.max = std::max(mm.max, x[i]);
-  }
-  return mm;
-}
-
-SortedScan sorted_scan_sse2(const double* x, std::size_t n) {
-  SortedScan s{true, false};
-  std::size_t i = 1;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d prev = _mm_loadu_pd(x + i - 1);
-    const __m128d cur = _mm_loadu_pd(x + i);
-    if (_mm_movemask_pd(_mm_cmpgt_pd(prev, cur)) != 0) {
-      s.nondecreasing = false;
-      return s;
-    }
-    if (_mm_movemask_pd(_mm_cmpeq_pd(prev, cur)) != 0) {
-      s.any_equal_adjacent = true;
-    }
-  }
-  for (; i < n; ++i) {
-    if (x[i - 1] > x[i]) {
-      s.nondecreasing = false;
-      return s;
-    }
-    if (x[i - 1] == x[i]) s.any_equal_adjacent = true;
-  }
-  return s;
 }
 
 void bucket_indexes_sse2(const double* x, double mn, double inv,
@@ -203,16 +149,12 @@ bool bounds_ok_i32_sse2(const std::int32_t* x, std::size_t n,
 }  // namespace
 
 const KernelTable& sse2_table() {
-  static const KernelTable table = [] {
-    KernelTable t = scalar_table();
-    t.compute_keys = compute_keys_sse2;
-    t.minmax_f64 = minmax_sse2;
-    t.sorted_scan_f64 = sorted_scan_sse2;
-    t.bucket_indexes = bucket_indexes_sse2;
-    t.bucket_indexes_2piece = bucket_indexes_2piece_sse2;
-    t.bounds_ok_i32 = bounds_ok_i32_sse2;
-    return t;
-  }();
+  static const KernelTable table{
+      compute_keys_sse2,
+      bucket_indexes_sse2,
+      bucket_indexes_2piece_sse2,
+      bounds_ok_i32_sse2,
+  };
   return table;
 }
 

@@ -125,6 +125,7 @@ TEST(CellPool, CommitExceptionStopsTheRun) {
 void record_phase(obs::Registry& r, obs::Phase phase, std::uint64_t ns) {
   obs::PhaseStats& row = r.phase(phase);
   ++row.calls;
+  row.work += ns / 10;
   row.total_ns += ns;
   row.self_ns += ns;
   row.ns.add(ns);
@@ -176,6 +177,7 @@ void expect_equal(const obs::Registry& x, const obs::Registry& y) {
     const obs::PhaseStats& p = x.phase(static_cast<obs::Phase>(k));
     const obs::PhaseStats& q = y.phase(static_cast<obs::Phase>(k));
     EXPECT_EQ(p.calls, q.calls) << k;
+    EXPECT_EQ(p.work, q.work) << k;
     EXPECT_EQ(p.total_ns, q.total_ns) << k;
     EXPECT_EQ(p.self_ns, q.self_ns) << k;
     EXPECT_EQ(p.ns.count(), q.ns.count()) << k;
@@ -204,6 +206,7 @@ TEST(RegistryMerge, ShardMergeReproducesSequentialRecording) {
   EXPECT_EQ(merged.histograms().at("lat").count(), 3u);
   EXPECT_EQ(merged.histograms().at("lat").min(), 7u);
   EXPECT_EQ(merged.phase(obs::Phase::kDecide).calls, 2u);
+  EXPECT_EQ(merged.phase(obs::Phase::kDecide).work, 10u);
   EXPECT_EQ(merged.phase(obs::Phase::kDecide).self_ns, 100u);
   EXPECT_EQ(merged.spans().size(), 3u);
   EXPECT_EQ(merged.histograms().at("lat").max(), 900000u);
@@ -520,12 +523,17 @@ TEST(RunSession, ProfiledSweepCountsAreExactAtAnyJobs) {
   obs::set_enabled(was_enabled);
   obs::Registry::global().reset();
 
-  // Phase timings ride the per-cell shards: call counts, counters and
-  // histogram counts merge exactly; only wall-clock ns may differ.
+  // Phase timings ride the per-cell shards: call and work counts,
+  // counters and histogram counts merge exactly; only wall-clock ns may
+  // differ.
   EXPECT_GT(seq.phase(obs::Phase::kDecide).calls, 0u);
+  EXPECT_GT(seq.phase(obs::Phase::kMatchSort).work, 0u);
+  EXPECT_GT(seq.phase(obs::Phase::kCandidateRepack).work, 0u);
   for (std::size_t k = 0; k < obs::kPhaseCount; ++k) {
     const auto phase = static_cast<obs::Phase>(k);
     EXPECT_EQ(seq.phase(phase).calls, par.phase(phase).calls)
+        << obs::phase_name(phase);
+    EXPECT_EQ(seq.phase(phase).work, par.phase(phase).work)
         << obs::phase_name(phase);
     EXPECT_EQ(seq.phase(phase).ns.count(), par.phase(phase).ns.count())
         << obs::phase_name(phase);

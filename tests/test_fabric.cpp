@@ -13,6 +13,7 @@
 #include "fabric/candidate_cache.hpp"
 #include "fabric/flow_lifecycle.hpp"
 #include "flowsim/flow_sim.hpp"
+#include "matching/greedy.hpp"
 #include "obs/trace.hpp"
 #include "pktsim/packet_sim.hpp"
 #include "queueing/voq.hpp"
@@ -37,10 +38,8 @@ void expect_candidates_equal(const sched::CandidateView& got,
     EXPECT_EQ(got.ingress()[k], want[k].ingress);
     EXPECT_EQ(got.egress()[k], want[k].egress);
     EXPECT_EQ(got.backlog()[k], want[k].backlog);
-    EXPECT_EQ(got.flow_count()[k], want[k].flow_count);
     EXPECT_EQ(got.shortest_flow()[k], want[k].shortest_flow);
     EXPECT_EQ(got.shortest_remaining()[k], want[k].shortest_remaining);
-    EXPECT_EQ(got.shortest_arrival()[k], want[k].shortest_arrival);
     if (with_arrival) {
       EXPECT_EQ(got.oldest_flow()[k], want[k].oldest_flow);
       EXPECT_EQ(got.oldest_arrival()[k], want[k].oldest_arrival);
@@ -48,21 +47,78 @@ void expect_candidates_equal(const sched::CandidateView& got,
   }
 }
 
-/// Randomized churn (add / partial drain / drain-to-completion / remove)
-/// against one VoqMatrix; after every batch of mutations the cache's
-/// incremental SoA view must equal the from-scratch AoS build, lane for
-/// lane and in the same order.
+/// build_candidates filtered by the cache's port mask: the cache's
+/// packed view must equal it lane for lane.
+std::vector<sched::VoqCandidate> masked_oracle(
+    const queueing::VoqMatrix& voqs, const CandidateCache& cache) {
+  std::vector<sched::VoqCandidate> all = sched::build_candidates(
+      voqs, cache.unit_bytes(), cache.with_arrival());
+  std::vector<sched::VoqCandidate> usable;
+  for (const sched::VoqCandidate& c : all) {
+    if (cache.port_usable(c.ingress) && cache.port_usable(c.egress)) {
+      usable.push_back(c);
+    }
+  }
+  return usable;
+}
+
+/// Every position whose lanes differ from the previous view's (or that
+/// the previous view did not have) must be listed in changes(), each
+/// position at most once and inside the view.
+void expect_changes_cover_diff(const sched::CandidateView& got,
+                               const sched::CandidateSoA& prev,
+                               std::uint64_t cache_source,
+                               std::uint64_t refreshes) {
+  const matching::LaneChanges& ch = got.changes();
+  EXPECT_NE(ch.source, 0u);
+  EXPECT_EQ(ch.source, cache_source);
+  EXPECT_EQ(ch.seq, refreshes);
+  std::vector<char> listed(got.size(), 0);
+  for (std::size_t k = 0; k < ch.changed_count; ++k) {
+    ASSERT_LT(ch.changed[k], got.size());
+    EXPECT_EQ(listed[ch.changed[k]], 0) << "listed twice: " << ch.changed[k];
+    listed[ch.changed[k]] = 1;
+  }
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    const bool same =
+        k < prev.ingress.size() && got.ingress()[k] == prev.ingress[k] &&
+        got.egress()[k] == prev.egress[k] &&
+        got.backlog()[k] == prev.backlog[k] &&
+        got.shortest_flow()[k] == prev.shortest_flow[k] &&
+        got.shortest_remaining()[k] == prev.shortest_remaining[k] &&
+        (!got.has_arrival_lane() ||
+         (got.oldest_flow()[k] == prev.oldest_flow[k] &&
+          got.oldest_arrival()[k] == prev.oldest_arrival[k]));
+    if (!same) {
+      EXPECT_EQ(listed[k], 1) << "position " << k << " changed unlisted";
+    }
+  }
+}
+
+/// Randomized churn (add / partial drain / drain-to-completion / remove,
+/// plus port-mask flips) against one VoqMatrix; after every batch of
+/// mutations the cache's incremental SoA view must equal the
+/// from-scratch AoS build, lane for lane and in the same order, and its
+/// change list must cover every position that differs from the
+/// previous view.
 void run_churn(queueing::PortId ports, double unit_bytes, bool with_arrival,
                std::uint64_t seed) {
   Rng rng(seed);
   queueing::VoqMatrix voqs(ports);
   CandidateCache cache(voqs, unit_bytes, with_arrival);
+  const std::uint64_t source = cache.refresh().changes().source;
+  sched::CandidateSoA prev;
+  prev.assign_from_view(cache.refresh());
   std::vector<queueing::FlowId> live;
   queueing::FlowId next_id = 0;
 
   for (int step = 0; step < 1500; ++step) {
     const double u = rng.uniform01();
-    if (live.empty() || u < 0.5) {
+    if (u < 0.03) {
+      const auto port =
+          static_cast<queueing::PortId>(rng.uniform_int(0, ports - 1));
+      cache.set_port_usable(port, !cache.port_usable(port));
+    } else if (live.empty() || u < 0.5) {
       queueing::Flow f;
       f.id = next_id++;
       f.src = static_cast<queueing::PortId>(rng.uniform_int(0, ports - 1));
@@ -93,12 +149,16 @@ void run_churn(queueing::PortId ports, double unit_bytes, bool with_arrival,
     }
 
     // Refresh at a varying cadence so dirt accumulates across several
-    // mutations (the steady-state pattern) as well as one at a time.
-    if (step % 7 == 0 || step + 1 == 1500) {
-      expect_candidates_equal(
-          cache.refresh(),
-          sched::build_candidates(voqs, unit_bytes, with_arrival),
-          with_arrival);
+    // mutations (the steady-state pattern) as well as one at a time;
+    // every 11th step refreshes twice, and the second lists nothing.
+    if (step % 7 == 0 || step % 11 == 0 || step + 1 == 1500) {
+      const sched::CandidateView& view = cache.refresh();
+      expect_candidates_equal(view, masked_oracle(voqs, cache), with_arrival);
+      expect_changes_cover_diff(view, prev, source, cache.refreshes());
+      prev.assign_from_view(view);
+      if (step % 11 == 0) {
+        EXPECT_EQ(cache.refresh().changes().changed_count, 0u);
+      }
     }
   }
 }

@@ -285,6 +285,43 @@ TEST(FlowSimObs, PreemptionCountMatchesTracedPreemptions) {
             static_cast<std::uint64_t>(decisions));
 }
 
+TEST(FlowSimObs, MatchSortWorkCountsOnlyChangedCandidates) {
+  // Quick scale at load 0.95: between two decisions only the served
+  // VOQs and one arrival or completion change, so the greedy matcher,
+  // which keeps its order across decisions, sorts far fewer entries
+  // than it decides over. The counts are exact, so the bound is too.
+  for (const bool basrpt : {false, true}) {
+    FlowSimConfig config;
+    config.fabric = topo::small_fabric(4, 6, 3);
+    config.horizon = seconds(0.2);
+    const std::int32_t hosts = config.fabric.hosts();
+    sched::SrptScheduler srpt;
+    sched::FastBasrptScheduler fast(2500.0 * hosts / 144.0);
+    sched::Scheduler& scheduler =
+        basrpt ? static_cast<sched::Scheduler&>(fast) : srpt;
+    Rng rng(9);
+    auto traffic =
+        workload::paper_mix(0.95, 0.10, config.fabric.racks,
+                            config.fabric.hosts_per_rack,
+                            config.fabric.host_link, config.horizon, rng);
+    obs::Registry registry;
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    {
+      const obs::ScopedRegistryBind bind(&registry);
+      run_flow_sim(config, scheduler, *traffic);
+    }
+    obs::set_enabled(was_enabled);
+
+    const std::uint64_t candidates =
+        registry.histograms().at("sched.candidates").sum();
+    const obs::PhaseStats& sort = registry.phase(obs::Phase::kMatchSort);
+    ASSERT_GT(candidates, 0u) << scheduler.name();
+    EXPECT_GT(sort.work, 0u) << scheduler.name();
+    EXPECT_LT(2 * sort.work, candidates) << scheduler.name();
+  }
+}
+
 TEST(FlowSimResult, ZeroHorizonThroughputIsZeroNotNan) {
   FlowSimResult result(0, 1);
   result.delivered = Bytes{1000};

@@ -177,7 +177,7 @@ TEST_P(CandidateLaneFuzz, MismatchedLanesNeverEscapeConfigError) {
     ASSERT_NO_THROW(soa.view());
 
     // Mutate one present lane's length (grow or shrink by 1..3).
-    const int which = static_cast<int>(rng.uniform_int(0, 6));
+    const int which = static_cast<int>(rng.uniform_int(0, 4));
     const auto delta = rng.uniform_int(1, 3);
     const bool grow = rng.bernoulli(0.5);
     const auto resize = [&](auto& lane) {
@@ -193,10 +193,8 @@ TEST_P(CandidateLaneFuzz, MismatchedLanesNeverEscapeConfigError) {
       case 0: mutated_len = resize(soa.ingress); break;
       case 1: mutated_len = resize(soa.egress); break;
       case 2: mutated_len = resize(soa.backlog); break;
-      case 3: mutated_len = resize(soa.flow_count); break;
-      case 4: mutated_len = resize(soa.shortest_flow); break;
-      case 5: mutated_len = resize(soa.shortest_remaining); break;
-      default: mutated_len = resize(soa.shortest_arrival); break;
+      case 3: mutated_len = resize(soa.shortest_flow); break;
+      default: mutated_len = resize(soa.shortest_remaining); break;
     }
     if (mutated_len == soa.ingress.size() &&
         mutated_len == soa.backlog.size()) {

@@ -150,9 +150,9 @@ TEST(Greedy, MatcherBimodalScoresMatchOracle) {
 }
 
 TEST(Greedy, MatcherSortedInputMatchesOracle) {
-  // Nondecreasing scores take the in-place monotone fast path; ties with
-  // out-of-order payloads must knock it back to the sorting path. Both
-  // shapes must agree with the oracle.
+  // Already sorted scores with runs of equal scores, with and without
+  // out-of-order payloads inside a tie: both shapes must agree with the
+  // oracle.
   Rng rng(29);
   const PortId ports = 32;
   for (const bool scramble_tie_payloads : {false, true}) {

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
+#include "fabric/candidate_cache.hpp"
 #include "matching/hungarian.hpp"
+#include "obs/metrics.hpp"
 #include "queueing/voq.hpp"
 #include "sched/bvn_scheduler.hpp"
 #include "sched/exact_basrpt.hpp"
@@ -77,7 +80,6 @@ TEST(BuildCandidates, OneEntryPerNonEmptyVoq) {
   EXPECT_EQ(voq01->shortest_flow, 2);
   EXPECT_DOUBLE_EQ(voq01->shortest_remaining, 5.0);
   EXPECT_DOUBLE_EQ(voq01->backlog, 15.0);
-  EXPECT_EQ(voq01->flow_count, 2u);
 }
 
 TEST(BuildCandidates, UnitConversionToPackets) {
@@ -114,11 +116,8 @@ TEST(CandidateView, FromAosReproducesEveryLane) {
     EXPECT_EQ(view.ingress()[k], aos[k].ingress);
     EXPECT_EQ(view.egress()[k], aos[k].egress);
     EXPECT_EQ(view.backlog()[k], aos[k].backlog);
-    EXPECT_EQ(view.flow_count()[k],
-              static_cast<std::uint32_t>(aos[k].flow_count));
     EXPECT_EQ(view.shortest_flow()[k], aos[k].shortest_flow);
     EXPECT_EQ(view.shortest_remaining()[k], aos[k].shortest_remaining);
-    EXPECT_EQ(view.shortest_arrival()[k], aos[k].shortest_arrival);
     EXPECT_EQ(view.oldest_flow()[k], aos[k].oldest_flow);
     EXPECT_EQ(view.oldest_arrival()[k], aos[k].oldest_arrival);
   }
@@ -452,6 +451,217 @@ TEST(Factory, BuildsEverySpec) {
             "exact-basrpt(V=100)");
   EXPECT_EQ(make_scheduler(SchedulerSpec::maxweight())->name(), "maxweight");
   EXPECT_EQ(make_scheduler(SchedulerSpec::fifo())->name(), "fifo");
+}
+
+// ------------------------------------------------ tracked decision path
+
+/// Forwards every call, as instrumentation decorators do: the view's
+/// change tracking must reach the inner scheduler untouched.
+class Forwarding final : public Scheduler {
+ public:
+  explicit Forwarding(Scheduler& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  bool needs_arrival_lane() const override {
+    return inner_.needs_arrival_lane();
+  }
+  void decide_into(PortId n_ports, const CandidateView& candidates,
+                   Decision& out) override {
+    inner_.decide_into(n_ports, candidates, out);
+  }
+
+ private:
+  Scheduler& inner_;
+};
+
+/// The GreedyMatcher-based schedulers, whose order is kept across
+/// decisions.
+const char* const kGreedySpecs[] = {"srpt", "fast-basrpt:v=2500",
+                                    "threshold-srpt:threshold=300", "fifo"};
+
+/// What a fresh instance of `spec` decides from scratch on the cache's
+/// usable candidates.
+std::vector<FlowId> fresh_decision(const char* spec, PortId n_ports,
+                                   const VoqMatrix& voqs,
+                                   const fabric::CandidateCache& cache) {
+  std::vector<VoqCandidate> usable;
+  for (const VoqCandidate& c : build_candidates(voqs, 1.0)) {
+    if (cache.port_usable(c.ingress) && cache.port_usable(c.egress)) {
+      usable.push_back(c);
+    }
+  }
+  SchedulerPtr fresh = make_scheduler(SchedulerSpec::parse(spec));
+  return decide_aos(*fresh, n_ports, usable).selected;
+}
+
+/// Churn the simulators' way — drain what the last decision served,
+/// admit a few flows, now and then flip a port mask or admit a burst —
+/// and decide on refreshed cache views, including refreshes with no
+/// mutation in between, repeated decisions on one view, and now and
+/// then a refresh the scheduler skips. Each decision must equal a fresh
+/// scheduler's from-scratch decision. Returns the candidates decided
+/// over and the entries the matcher sorted.
+std::pair<std::uint64_t, std::uint64_t> run_tracked_churn(
+    const char* spec, Scheduler& scheduler, std::uint64_t seed) {
+  const PortId ports = 24;
+  Rng rng(seed);
+  VoqMatrix voqs(ports);
+  fabric::CandidateCache cache(voqs, 1.0, scheduler.needs_arrival_lane());
+  FlowId next_id = 0;
+  Decision decision;
+  std::uint64_t candidates = 0;
+  std::uint64_t sorted = 0;
+  obs::Registry registry;
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  {
+    const obs::ScopedRegistryBind bind(&registry);
+    const auto admit = [&] {
+      const auto src = static_cast<PortId>(rng.uniform_int(0, ports - 1));
+      auto dst = static_cast<PortId>(rng.uniform_int(0, ports - 2));
+      if (dst >= src) {
+        ++dst;
+      }
+      voqs.add_flow(make_flow(next_id, src, dst, rng.uniform_int(1, 400),
+                              static_cast<double>(next_id) * 1e-3));
+      ++next_id;
+    };
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE(step);
+      for (const FlowId id : decision.selected) {
+        voqs.drain(id, Bytes{rng.uniform_int(1, 120)});
+      }
+      const int arrivals = step % 50 == 25 ? 300 : rng.uniform_int(0, 2);
+      for (int a = 0; a < arrivals; ++a) {
+        admit();
+      }
+      if (rng.bernoulli(0.05)) {
+        const auto port = static_cast<PortId>(rng.uniform_int(0, ports - 1));
+        cache.set_port_usable(port, !cache.port_usable(port));
+      }
+      if (step % 17 == 8) {
+        // A refresh this scheduler never decides on: the next view
+        // skips a sequence number, so the order must be rebuilt.
+        cache.refresh();
+        admit();
+      }
+      const int repeats = step % 9 == 0 ? 2 : 1;
+      const CandidateView& view = cache.refresh();
+      for (int r = 0; r < repeats; ++r) {
+        const std::uint64_t before =
+            registry.phase(obs::Phase::kMatchSort).work;
+        scheduler.decide_into(ports, view, decision);
+        sorted += registry.phase(obs::Phase::kMatchSort).work - before;
+        candidates += view.size();
+        EXPECT_EQ(decision.selected,
+                  fresh_decision(spec, ports, voqs, cache));
+      }
+    }
+  }
+  obs::set_enabled(was_enabled);
+  return {candidates, sorted};
+}
+
+TEST(TrackedDecisions, ChurnedCacheViewsDecideLikeAFreshScheduler) {
+  for (const char* spec : kGreedySpecs) {
+    SCOPED_TRACE(spec);
+    SchedulerPtr scheduler = make_scheduler(SchedulerSpec::parse(spec));
+    const auto [candidates, sorted] = run_tracked_churn(spec, *scheduler, 17);
+    // The order is kept: far fewer entries sorted than decided over.
+    EXPECT_LT(2 * sorted, candidates);
+  }
+}
+
+TEST(TrackedDecisions, ForwardingDecoratorKeepsTheTrackedPath) {
+  for (const char* spec : kGreedySpecs) {
+    SCOPED_TRACE(spec);
+    SchedulerPtr inner = make_scheduler(SchedulerSpec::parse(spec));
+    Forwarding decorator(*inner);
+    const auto [candidates, sorted] = run_tracked_churn(spec, decorator, 23);
+    EXPECT_LT(2 * sorted, candidates);
+  }
+}
+
+TEST(TrackedDecisions, AlternatingCachesRebuildTheOrder) {
+  const PortId ports = 8;
+  for (const char* spec : kGreedySpecs) {
+    SCOPED_TRACE(spec);
+    SchedulerPtr scheduler = make_scheduler(SchedulerSpec::parse(spec));
+    Rng rng(31);
+    VoqMatrix a = random_state(ports, 60, rng);
+    VoqMatrix b = random_state(ports, 60, rng);
+    fabric::CandidateCache cache_a(a, 1.0);
+    fabric::CandidateCache cache_b(b, 1.0);
+    FlowId next_id = 1000;
+    Decision decision;
+    for (int round = 0; round < 24; ++round) {
+      SCOPED_TRACE(round);
+      VoqMatrix& voqs = round % 2 == 0 ? a : b;
+      fabric::CandidateCache& cache = round % 2 == 0 ? cache_a : cache_b;
+      if (round >= 2) {
+        // The caches refresh in lockstep, so each sees the sequence
+        // number the other's last view carried.
+        voqs.add_flow(make_flow(next_id++, round % ports,
+                                (round + 1) % ports, 1 + round));
+      }
+      scheduler->decide_into(ports, cache.refresh(), decision);
+      EXPECT_EQ(decision.selected, fresh_decision(spec, ports, voqs, cache));
+    }
+  }
+}
+
+TEST(TrackedDecisions, CacheRecreatedInTheSameStorageStartsANewChain) {
+  // One scheduler reused across caches that are destroyed and
+  // re-created at one address, each over a different state, as the
+  // end-to-end replay does. The new cache's first decided view carries
+  // the sequence number the old chain ended on (or the one after it):
+  // only the cache identity, not its address, keeps the old order out.
+  const PortId ports = 8;
+  for (const char* spec : kGreedySpecs) {
+    SCOPED_TRACE(spec);
+    SchedulerPtr scheduler = make_scheduler(SchedulerSpec::parse(spec));
+    Rng rng(37);
+    std::optional<fabric::CandidateCache> cache;
+    const fabric::CandidateCache* address = nullptr;
+    Decision decision;
+    for (int rep = 0; rep < 6; ++rep) {
+      SCOPED_TRACE(rep);
+      VoqMatrix voqs = random_state(ports, 30 + 7 * rep, rng);
+      cache.emplace(voqs, 1.0, scheduler->needs_arrival_lane());
+      if (address == nullptr) {
+        address = &*cache;
+      }
+      ASSERT_EQ(&*cache, address);
+      if (rep % 3 == 2) {
+        cache->refresh();  // undecided: the decision below is on seq 2
+        voqs.add_flow(make_flow(10000 + rep, 1, 2, 5));
+      }
+      scheduler->decide_into(ports, cache->refresh(), decision);
+      EXPECT_EQ(decision.selected, fresh_decision(spec, ports, voqs, *cache));
+      cache.reset();
+    }
+  }
+}
+
+TEST(TrackedDecisions, PortCountChangeRebuildsTheOrder) {
+  // Fast BASRPT's key weighs size by V / n_ports, so the same lanes
+  // order differently under another port count: a chain continues only
+  // at the port counts it was built with.
+  Rng rng(41);
+  VoqMatrix voqs = random_state(8, 80, rng);
+  fabric::CandidateCache cache(voqs, 1.0, false);
+  FastBasrptScheduler fast(2500.0);
+  Decision decision;
+  FlowId next_id = 5000;
+  for (int round = 0; round < 8; ++round) {
+    SCOPED_TRACE(round);
+    const PortId n_ports = round % 2 == 0 ? 8 : 64;
+    voqs.add_flow(make_flow(next_id++, round % 8, (round + 3) % 8, 40));
+    const CandidateView& view = cache.refresh();
+    fast.decide_into(n_ports, view, decision);
+    FastBasrptScheduler fresh(2500.0);
+    std::vector<VoqCandidate> all = build_candidates(voqs, 1.0, false);
+    EXPECT_EQ(decision.selected, decide_aos(fresh, n_ports, all).selected);
+  }
 }
 
 // ------------------------------------------------------ decision checking

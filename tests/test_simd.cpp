@@ -82,46 +82,6 @@ TEST(Kernels, ComputeKeysVariantsBitIdentical) {
   }
 }
 
-TEST(Kernels, MinMaxVariantsAgree) {
-  Rng rng(12);
-  for (const std::size_t n : kLens) {
-    const std::vector<double> x = random_lane(rng, n);
-    const MinMax ref = detail::scalar_table().minmax_f64(x.data(), n);
-    for (const auto* t : available_tables()) {
-      const MinMax got = t->minmax_f64(x.data(), n);
-      EXPECT_EQ(got.min, ref.min) << "n=" << n;
-      EXPECT_EQ(got.max, ref.max) << "n=" << n;
-    }
-  }
-}
-
-TEST(Kernels, SortedScanVariantsAgree) {
-  Rng rng(13);
-  for (const std::size_t n : kLens) {
-    // Sorted, sorted-with-ties, and unsorted shapes.
-    for (int shape = 0; shape < 3; ++shape) {
-      std::vector<double> x = random_lane(rng, n);
-      if (shape != 2) {
-        std::sort(x.begin(), x.end());
-      }
-      if (shape == 1 && n > 1) {
-        x[n / 2] = x[n / 2 - 1];  // force an equal-adjacent pair
-      }
-      const SortedScan ref = detail::scalar_table().sorted_scan_f64(x.data(), n);
-      for (const auto* t : available_tables()) {
-        const SortedScan got = t->sorted_scan_f64(x.data(), n);
-        EXPECT_EQ(got.nondecreasing, ref.nondecreasing);
-        if (ref.nondecreasing) {
-          // any_equal_adjacent is only meaningful without an inversion
-          // (variants may disagree about pairs scanned before an early
-          // exit).
-          EXPECT_EQ(got.any_equal_adjacent, ref.any_equal_adjacent);
-        }
-      }
-    }
-  }
-}
-
 TEST(Kernels, BucketIndexesVariantsBitIdentical) {
   Rng rng(14);
   for (const std::size_t n : kLens) {
@@ -200,54 +160,6 @@ TEST(Kernels, BoundsOkI32VariantsAgree) {
   }
 }
 
-TEST(Kernels, GatherVariantsMatchScalar) {
-  Rng rng(16);
-  const std::size_t entries = 300;
-  std::vector<sched::VoqCandidate> aos(entries);
-  for (std::size_t e = 0; e < entries; ++e) {
-    aos[e].ingress = static_cast<sched::PortId>(rng.uniform_int(0, 47));
-    aos[e].backlog = rng.uniform(0.0, 1e6);
-    aos[e].flow_count = static_cast<std::size_t>(rng.uniform_int(0, 1000));
-    aos[e].shortest_flow = rng.uniform_int(0, 1 << 30);
-  }
-  constexpr std::size_t stride = sizeof(sched::VoqCandidate);
-  for (const std::size_t n : kLens) {
-    std::vector<std::uint32_t> idx(n);
-    for (auto& i : idx) {
-      i = static_cast<std::uint32_t>(rng.uniform_int(0, entries - 1));
-    }
-    std::vector<double> f64_ref(n), f64_got(n);
-    std::vector<std::int64_t> i64_ref(n), i64_got(n);
-    std::vector<std::int32_t> i32_ref(n), i32_got(n);
-    std::vector<std::uint32_t> u32_ref(n), u32_got(n);
-    const auto& s = detail::scalar_table();
-    const char* base = reinterpret_cast<const char*>(aos.data());
-    s.gather_f64(base + offsetof(sched::VoqCandidate, backlog), stride,
-                 idx.data(), n, f64_ref.data());
-    s.gather_i64(base + offsetof(sched::VoqCandidate, shortest_flow), stride,
-                 idx.data(), n, i64_ref.data());
-    s.gather_i32(base + offsetof(sched::VoqCandidate, ingress), stride,
-                 idx.data(), n, i32_ref.data());
-    s.gather_u32_from_size(base + offsetof(sched::VoqCandidate, flow_count),
-                           stride, idx.data(), n, u32_ref.data());
-    for (const auto* t : available_tables()) {
-      t->gather_f64(base + offsetof(sched::VoqCandidate, backlog), stride,
-                    idx.data(), n, f64_got.data());
-      t->gather_i64(base + offsetof(sched::VoqCandidate, shortest_flow),
-                    stride, idx.data(), n, i64_got.data());
-      t->gather_i32(base + offsetof(sched::VoqCandidate, ingress), stride,
-                    idx.data(), n, i32_got.data());
-      t->gather_u32_from_size(
-          base + offsetof(sched::VoqCandidate, flow_count), stride,
-          idx.data(), n, u32_got.data());
-      EXPECT_EQ(f64_ref, f64_got);
-      EXPECT_EQ(i64_ref, i64_got);
-      EXPECT_EQ(i32_ref, i32_got);
-      EXPECT_EQ(u32_ref, u32_got);
-    }
-  }
-}
-
 TEST(Dispatch, ActiveIsaOverrideRoundTrips) {
   IsaGuard guard;
   set_active_isa(Isa::kScalar);
@@ -265,9 +177,8 @@ TEST(Dispatch, IsaNamesAreStable) {
 // ------------------------------------------------- scheduler differential
 
 /// Builds a randomized candidate set as SoA lanes. Shapes stress the
-/// matcher's path split: near-sorted scores (monotone fast path
-/// boundaries), exact ties with ±0.0, and a bimodal threshold-style
-/// spread (2-piece bucket map).
+/// matcher's sorters: near-sorted scores, exact ties with ±0.0, and a
+/// bimodal threshold-style spread (2-piece bucket map).
 sched::CandidateSoA make_grid(Rng& rng, std::size_t n, sched::PortId ports,
                               int shape) {
   sched::CandidateSoA soa;
@@ -279,7 +190,6 @@ sched::CandidateSoA make_grid(Rng& rng, std::size_t n, sched::PortId ports,
     soa.egress[k] = static_cast<sched::PortId>(rng.uniform_int(0, ports - 1));
     soa.backlog[k] = rng.bernoulli(0.5) ? rng.uniform(0.0, 2e3)
                                         : rng.uniform(0.0, 5e5);
-    soa.flow_count[k] = static_cast<std::uint32_t>(rng.uniform_int(1, 40));
     soa.shortest_flow[k] = static_cast<queueing::FlowId>(k);  // distinct
     double sr = rng.uniform(0.0, 1e6);
     if (rng.bernoulli(0.1)) {
@@ -289,13 +199,11 @@ sched::CandidateSoA make_grid(Rng& rng, std::size_t n, sched::PortId ports,
       sr = rng.bernoulli(0.5) ? 0.0 : -0.0;
     }
     soa.shortest_remaining[k] = sr;
-    soa.shortest_arrival[k] = rng.uniform(0.0, 10.0);
     soa.oldest_flow[k] = static_cast<queueing::FlowId>(k);
     soa.oldest_arrival[k] = rng.uniform(0.0, 10.0);
   }
   if (shape == 1) {
-    // Near-sorted: ascending scores with a few perturbations right at
-    // monotone-scan boundaries.
+    // Near-sorted: ascending scores with a few adjacent swaps.
     std::sort(soa.shortest_remaining.begin(), soa.shortest_remaining.end());
     for (int p = 0; p < 3 && n > 8; ++p) {
       const std::size_t at =
