@@ -132,29 +132,12 @@ inline core::ExperimentConfig base_config(const Scale& scale,
   return config;
 }
 
-/// Hard-fails benches whose work is a single indivisible run (example
-/// replays, closed-form validation sweeps): --jobs cannot apply, and
-/// silently accepting it would read as "parallelism worked".
-inline void require_sequential(const CliParser& cli) {
-  if (cli.get_integer("jobs") != 1) {
-    std::fprintf(stderr,
-                 "error: this bench has no parallelizable sweep cells; "
-                 "--jobs does not apply here\n");
-    std::exit(2);
-  }
-}
-
 /// Run-scoped observability wiring for the shared --metrics / --trace /
 /// --heartbeat flags. Construct after parse_common (enables the global
 /// obs registry when any output is requested), apply() to each config
 /// about to run, and finish() once to write the artifacts. Everything it
 /// wires is passive, so flag-bearing runs produce bit-identical tables.
-///
-/// DEPRECATED for direct use in benches: construct a bench::RunSession
-/// (bench/run_session.hpp) instead, which owns one of these and adds
-/// fault wiring, checkpointing, and the parallel sweep driver behind a
-/// single object. Direct construction remains for tests and will go
-/// away once the migration settles.
+/// Benches reach it through bench::RunSession (bench/run_session.hpp).
 class ObsSession {
  public:
   explicit ObsSession(const CliParser& cli)
@@ -311,11 +294,10 @@ class ObsSession {
 /// Run-scoped fault wiring for the shared --fault-plan / --fault-seed /
 /// --watchdog flags. Construct after parse_common with the fabric size
 /// and the horizon the bench will simulate (random plans draw their
-/// events over it), then apply() to each config about to run. With no
-/// flags set, apply() is a no-op and outputs stay bit-identical.
-///
-/// DEPRECATED for direct use in benches: bench::RunSession owns one and
-/// forwards apply()/report(); see bench/run_session.hpp.
+/// events over it; slotted benches pass their horizon in slots, the
+/// slotted model's time unit), then apply() to each config about to
+/// run. With no flags set, apply() is a no-op and outputs stay
+/// bit-identical. Benches reach it through bench::RunSession.
 class FaultSession {
  public:
   /// `obs` (optional): flushed with the "interrupted" marker when the
@@ -355,16 +337,10 @@ class FaultSession {
   bool active() const { return !plan_.empty(); }
   const fault::FaultPlan& plan() const { return plan_; }
 
-  void apply(core::ExperimentConfig& config) const {
-    if (active()) {
-      config.fault_plan = &plan_;
-    }
-    if (watchdog_wall_sec_ > 0.0) {
-      config.watchdog.stall_wall_sec = watchdog_wall_sec_;
-    }
-  }
-
-  void apply(flowsim::FlowSimConfig& config) const {
+  /// Wires the plan and the watchdog into a core::ExperimentConfig,
+  /// flowsim::FlowSimConfig or switchsim::SlottedConfig.
+  template <typename Config>
+  void apply(Config& config) const {
     if (active()) {
       config.fault_plan = &plan_;
     }

@@ -67,9 +67,8 @@ inline void require_no_checkpoint_flags(const CliParser& cli) {
   }
 }
 
-/// DEPRECATED for direct use in benches: bench::RunSession owns one and
-/// drives it both sequentially and under --jobs; see
-/// bench/run_session.hpp.
+/// Owned by bench::RunSession, which drives it both sequentially and
+/// under --jobs; see bench/run_session.hpp.
 class CheckpointSession {
  public:
   /// Construct after parse_common and after the ObsSession (partial

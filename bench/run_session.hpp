@@ -1,6 +1,6 @@
-// bench::RunSession — the single session object behind every figure
-// bench (the ObsSession + FaultSession + CheckpointSession ceremony,
-// collapsed).
+// bench::RunSession — the single session object behind every bench
+// that takes the shared flags. It owns the ObsSession, FaultSession and
+// CheckpointSession; benches construct none of them directly.
 //
 // One construction order, one finish():
 //
@@ -52,7 +52,8 @@ class RunSession {
 
   /// Construct once, directly after parse_common. `fault_ports` /
   /// `fault_horizon` size a --fault-plan=random schedule (pass the
-  /// fabric's host count and the swept horizon).
+  /// fabric's host count and the swept horizon; slotted benches pass
+  /// their port count and their horizon in slots).
   RunSession(const CliParser& cli, std::string bench_name,
              std::int32_t fault_ports, SimTime fault_horizon,
              Checkpointing checkpointing = Checkpointing::kCells)
@@ -74,13 +75,14 @@ class RunSession {
     obs_.apply(config);
     faults_.apply(config);
   }
-  void apply(switchsim::SlottedConfig& config) { obs_.apply(config); }
+  void apply(switchsim::SlottedConfig& config) {
+    obs_.apply(config);
+    faults_.apply(config);
+  }
   void apply(flowsim::FlowSimConfig& config) { faults_.apply(config); }
 
-  /// Forwards to the underlying sessions, for the handful of call sites
-  /// a facade method does not cover.
-  obs::FlowTracer* tracer_or_null() { return obs_.tracer_or_null(); }
-  const FaultSession& faults() const { return faults_; }
+  /// The --fault-plan in effect (empty without the flag), and the
+  /// per-run fault counter line.
   bool fault_active() const { return faults_.active(); }
   const fault::FaultPlan& fault_plan() const { return faults_.plan(); }
   void fault_report(const char* label, const fault::FaultStats& stats) const {

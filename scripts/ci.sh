@@ -1,23 +1,24 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 (warnings-as-errors build + full test suite),
-# then tier-2 (AddressSanitizer + UBSan build + full test suite, fault
-# and kill-and-resume soaks, and a ThreadSanitizer parallel-sweep
+# CI entry point: tier-1 (warnings-as-errors build + full test suite,
+# then the end-to-end benchmark's build and self-test), then tier-2
+# (AddressSanitizer + UBSan build + full test suite, fault and
+# kill-and-resume soaks, and a ThreadSanitizer parallel-sweep
 # determinism check).
 #
 #   scripts/ci.sh            # all stages
-#   scripts/ci.sh --tier1    # build + ctest only
+#   scripts/ci.sh --tier1    # build + ctest + e2ebench self-test only
 #   scripts/ci.sh --tier2    # sanitizer build + ctest only
 #   scripts/ci.sh --soak     # serving soak only (overload + drain)
 #   scripts/ci.sh --perf     # perf stage only (bench + regression gate)
-#   scripts/ci.sh --simd     # SIMD-off build + scalar-vs-native CSV diff
 #
 # The perf stage regenerates small BENCH_*.json records and gates them
 # against the committed baselines with scripts/perf_gate.py. A
 # regression fails the build by default; set BASRPT_PERF_STRICT=0 on a
 # noisy shared runner to downgrade it to a warning (docs/PERF.md).
 #
-# Build trees: build-ci/ (tier 1) and build-asan/ (tier 2), kept apart
-# from a developer's build/ so CI never clobbers local state.
+# Build trees: build-ci/ and build-e2e/ (tier 1), build-asan/ and
+# build-tsan/ (tier 2), kept apart from a developer's build/ so CI never
+# clobbers local state.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -27,15 +28,13 @@ RUN_TIER1=1
 RUN_TIER2=1
 RUN_SOAK=1
 RUN_PERF=1
-RUN_SIMD=1
 case "${1:-}" in
-  --tier1) RUN_TIER2=0; RUN_SOAK=0; RUN_PERF=0; RUN_SIMD=0 ;;
-  --tier2) RUN_TIER1=0; RUN_SOAK=0; RUN_PERF=0; RUN_SIMD=0 ;;
-  --soak)  RUN_TIER1=0; RUN_TIER2=0; RUN_PERF=0; RUN_SIMD=0 ;;
-  --perf)  RUN_TIER1=0; RUN_TIER2=0; RUN_SOAK=0; RUN_SIMD=0 ;;
-  --simd)  RUN_TIER1=0; RUN_TIER2=0; RUN_SOAK=0; RUN_PERF=0 ;;
+  --tier1) RUN_TIER2=0; RUN_SOAK=0; RUN_PERF=0 ;;
+  --tier2) RUN_TIER1=0; RUN_SOAK=0; RUN_PERF=0 ;;
+  --soak)  RUN_TIER1=0; RUN_TIER2=0; RUN_PERF=0 ;;
+  --perf)  RUN_TIER1=0; RUN_TIER2=0; RUN_SOAK=0 ;;
   "") ;;
-  *) echo "usage: $0 [--tier1|--tier2|--soak|--perf|--simd]" >&2; exit 2 ;;
+  *) echo "usage: $0 [--tier1|--tier2|--soak|--perf]" >&2; exit 2 ;;
 esac
 
 if [[ "$RUN_TIER1" == 1 ]]; then
@@ -43,50 +42,12 @@ if [[ "$RUN_TIER1" == 1 ]]; then
   cmake -B build-ci -DBASRPT_WERROR=ON >/dev/null
   cmake --build build-ci -j "$JOBS"
   ctest --test-dir build-ci --output-on-failure -j "$JOBS"
-fi
 
-if [[ "$RUN_SIMD" == 1 ]]; then
-  # SIMD contract stage. Two halves:
-  #  1. A -DBASRPT_SIMD=OFF build (vector TUs compiled out entirely, the
-  #     dispatch table is scalar-only) must build warning-clean and pass
-  #     the full suite — the scalar fallback is a supported configuration,
-  #     not a degraded one.
-  #  2. On the normal build, every figure/table CSV must be byte-identical
-  #     between BASRPT_SIMD=scalar and BASRPT_SIMD=native runs of the same
-  #     binary. The kernels' bit-identity contract (same IEEE ops, same
-  #     per-element order on every ISA) makes this a strict equality, so
-  #     any divergence is a kernel bug, and the diff fails the build
-  #     unconditionally.
-  echo "==== simd: BASRPT_SIMD=OFF build + ctest ===="
-  cmake -B build-nosimd -DBASRPT_SIMD=OFF -DBASRPT_WERROR=ON >/dev/null
-  cmake --build build-nosimd -j "$JOBS"
-  ctest --test-dir build-nosimd --output-on-failure -j "$JOBS"
-
-  echo "==== simd: scalar-vs-native figure-CSV byte diff ===="
-  cmake -B build-ci >/dev/null
-  cmake --build build-ci -j "$JOBS" --target \
-      bench_fig2_motivation bench_fig5_stability bench_fig6_loads \
-      bench_table1_fct
-  SIMD_TMP="$(mktemp -d)"
-  trap 'rm -rf "${SIMD_TMP:-}"' EXIT
-  for isa in scalar native; do
-    mkdir -p "$SIMD_TMP/$isa"
-    BASRPT_SIMD=$isa ./build-ci/bench/bench_fig2_motivation \
-        --horizon 0.3 --plot-dir "$SIMD_TMP/$isa" >/dev/null
-    BASRPT_SIMD=$isa ./build-ci/bench/bench_fig5_stability \
-        --horizon 0.3 --plot-dir "$SIMD_TMP/$isa" >/dev/null
-    BASRPT_SIMD=$isa ./build-ci/bench/bench_fig6_loads \
-        --horizon 0.3 --csv > "$SIMD_TMP/$isa/fig6.csv"
-    BASRPT_SIMD=$isa ./build-ci/bench/bench_table1_fct \
-        --horizon 0.3 --csv > "$SIMD_TMP/$isa/table1.csv"
-  done
-  for csv in "$SIMD_TMP"/scalar/*.csv; do
-    name="$(basename "$csv")"
-    diff "$csv" "$SIMD_TMP/native/$name" \
-        || { echo "simd: $name diverges between scalar and native" >&2
-             exit 1; }
-  done
-  echo "simd: all figure CSVs byte-identical across ISAs"
+  # The end-to-end benchmark (e2ebench/) compiles against the library's
+  # public API in its own Release tree; building it and running its
+  # harness tests here makes a library change that breaks it fail CI.
+  echo "==== tier 1: e2ebench build + self-test ===="
+  CARGO_TARGET_DIR=build-e2e python3 e2ebench/run.py --selftest
 fi
 
 if [[ "$RUN_TIER2" == 1 ]]; then
@@ -113,7 +74,7 @@ if [[ "$RUN_TIER2" == 1 ]]; then
   # also snapshots genuine mid-run slotted state.
   echo "==== tier 2: kill-and-resume soak (ASan/UBSan) ===="
   CKPT_TMP="$(mktemp -d)"
-  trap 'rm -rf "$CKPT_TMP" "${SIMD_TMP:-}"' EXIT
+  trap 'rm -rf "$CKPT_TMP"' EXIT
 
   kill_and_resume() {
     local name="$1"; shift
@@ -208,7 +169,7 @@ if [[ "$RUN_SOAK" == 1 ]]; then
   cmake -B build-ci >/dev/null
   cmake --build build-ci -j "$JOBS" --target bench_soak
   SOAK_TMP="$(mktemp -d)"
-  trap 'rm -rf "${SOAK_TMP:-}" "${CKPT_TMP:-}" "${SIMD_TMP:-}"' EXIT
+  trap 'rm -rf "${SOAK_TMP:-}" "${CKPT_TMP:-}"' EXIT
 
   soak_stage() (
     set -e
@@ -384,7 +345,7 @@ if [[ "$RUN_PERF" == 1 ]]; then
 
   PERF_TMP="$(mktemp -d)"
   # Re-arm the EXIT trap to also cover earlier stages' scratch dirs.
-  trap 'rm -rf "$PERF_TMP" "${CKPT_TMP:-}" "${SOAK_TMP:-}" "${SIMD_TMP:-}"' EXIT
+  trap 'rm -rf "$PERF_TMP" "${CKPT_TMP:-}" "${SOAK_TMP:-}"' EXIT
   GATE_ARGS=()
   if [[ "${BASRPT_PERF_STRICT:-1}" == 0 ]]; then
     GATE_ARGS=(--warn-only)

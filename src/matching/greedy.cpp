@@ -448,6 +448,8 @@ void GreedyMatcher::match_lanes_into(const double* score, const PortId* left,
                                      const LaneChanges& changes,
                                      std::vector<std::int64_t>& out) {
   BASRPT_ASSERT(n_left > 0 && n_right > 0, "port counts must be positive");
+  BASRPT_ASSERT(n_left <= 0xffff && n_right <= 0xffff,
+                "port counts must fit the 16-bit sort record fields");
   out.clear();
   left_used_.assign(static_cast<std::size_t>(n_left), 0);
   right_used_.assign(static_cast<std::size_t>(n_right), 0);
@@ -462,39 +464,6 @@ void GreedyMatcher::match_lanes_into(const double* score, const PortId* left,
   const std::size_t max_accept =
       static_cast<std::size_t>(n_left < n_right ? n_left : n_right);
   std::size_t accepted = 0;
-
-  if (n_left > 0xffff || n_right > 0xffff) {
-    // Ports don't fit the 16-bit record fields: comparison-sort an index
-    // permutation instead, keeping no order. Cold path — no real fabric
-    // has 64k ports.
-    source_ = 0;
-    perf::ScopedPhase sort_phase(obs::Phase::kMatchSort);
-    sort_phase.add_work(n);
-    perm_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      perm_[i] = static_cast<std::uint32_t>(i);
-    }
-    std::sort(perm_.begin(), perm_.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                if (score[a] != score[b]) {
-                  return score[a] < score[b];
-                }
-                return payload[a] < payload[b];
-              });
-    for (const std::uint32_t i : perm_) {
-      const auto l = static_cast<std::size_t>(left[i]);
-      const auto r = static_cast<std::size_t>(right[i]);
-      if (!left_used_[l] && !right_used_[r]) {
-        left_used_[l] = 1;
-        right_used_[r] = 1;
-        out.push_back(payload[i]);
-        if (++accepted == max_accept) {
-          break;
-        }
-      }
-    }
-    return;
-  }
 
   {
     perf::ScopedPhase sort_phase(obs::Phase::kMatchSort);

@@ -84,8 +84,10 @@ class GreedyMatcher {
  public:
   /// Clears `out`, then appends the payloads of the accepted candidates
   /// in selection (sorted) order. Lane pointers must each hold `n`
-  /// elements; scores must be NaN-free. No heap allocation once the
-  /// scratch has warmed to the fabric size. Untracked: sorts all `n`.
+  /// elements; scores must be NaN-free; port counts must be at most
+  /// 65535 (the sort records pack ports into 16 bits). No heap
+  /// allocation once the scratch has warmed to the fabric size.
+  /// Untracked: sorts all `n`.
   void match_lanes_into(const double* score, const PortId* left,
                         const PortId* right, const std::int64_t* payload,
                         std::size_t n, PortId n_left, PortId n_right,
@@ -107,8 +109,7 @@ class GreedyMatcher {
                   std::vector<std::int64_t>& out);
 
   /// Below this many entries, comparison sort beats the bucket
-  /// histogram setup cost. Port counts >= 65536 also take a comparison
-  /// path (ports are packed into 16 bits in the sort records).
+  /// histogram setup cost.
   static constexpr std::size_t kRadixThreshold = 128;
 
  private:
@@ -166,7 +167,6 @@ class GreedyMatcher {
   std::vector<std::uint32_t> starts_;
   std::vector<RadixRec> rrecs_a_;
   std::vector<RadixRec> rrecs_b_;
-  std::vector<std::uint32_t> perm_;    // huge-port-count fallback
 
   // The kept order and the chain it belongs to.
   std::vector<Rec> order_;

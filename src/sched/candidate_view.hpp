@@ -59,8 +59,9 @@ class CandidateView {
   CandidateView() = default;
 
   /// Adapts an AoS candidate list by repacking it into `storage` (the
-  /// deprecated-shim and differential-test path; hot paths get a view
-  /// straight from the cache). The returned view borrows `storage`.
+  /// path of tests and microbenchmarks over build_candidates; hot paths
+  /// get a view straight from the cache). The returned view borrows
+  /// `storage`.
   static CandidateView from_aos(const std::vector<VoqCandidate>& aos,
                                 CandidateSoA& storage,
                                 bool with_arrival = true);

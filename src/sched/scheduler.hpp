@@ -58,14 +58,6 @@ class Scheduler {
   virtual void decide_into(PortId n_ports, const CandidateView& candidates,
                            Decision& out) = 0;
 
-  /// Batched decisions: `out[k]` is the decision for `views[k]`. The
-  /// default simply loops; schedulers with per-decision setup that
-  /// depends only on n_ports (matcher scratch sizing, BvN permutation
-  /// tables) amortize it across the batch. Semantics are exactly `count`
-  /// independent decide_into calls — differential tests enforce this.
-  virtual void decide_batch(PortId n_ports, const CandidateView* views,
-                            std::size_t count, Decision* out);
-
   /// Opaque internal state for checkpoint/resume. Schedulers whose
   /// decisions depend only on the candidates (everything here except the
   /// randomized BvN reference) return empty; stateful ones serialize

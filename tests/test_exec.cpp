@@ -498,6 +498,46 @@ TEST(RunSession, ResumesAStoredPrefixInsideAParallelSweep) {
   }
 }
 
+TEST(RunSession, SlottedCellsGetTheFaultPlanAndWatchdog) {
+  CliParser cli("test_exec", "slotted faults");
+  const char* argv[] = {"test_exec", "--fault-plan=random", "--watchdog",
+                        "60"};
+  ASSERT_TRUE(bench::parse_common(cli, 4, argv));
+  // Slotted plans are in slot units: the random plan spans the horizon.
+  const switchsim::Slot horizon = 2000;
+  bench::RunSession session(cli, "exec_slotted_faults", 4,
+                            seconds(static_cast<double>(horizon)));
+  ASSERT_TRUE(session.fault_active());
+
+  switchsim::SlottedConfig config;
+  config.n_ports = 4;
+  config.horizon = horizon;
+  config.sample_every = 16;
+  session.apply(config);
+  EXPECT_EQ(config.fault_plan, &session.fault_plan());
+  EXPECT_TRUE(config.watchdog.enabled());
+
+  const auto rates = switchsim::skewed_rates(4, 0.8, 0.6);
+  switchsim::SizeMix mix;
+  mix.small = 1;
+  mix.large = 8;
+  mix.p_small = 0.9;
+  std::optional<switchsim::SlottedResult> result;
+  exec::Sweep sweep;
+  sweep.add_slotted(
+      "faulty", config,
+      [] {
+        return sched::make_scheduler(sched::SchedulerSpec::fast_basrpt(100.0));
+      },
+      [rates, mix, horizon] {
+        return switchsim::bernoulli_arrivals(rates, mix, horizon, Rng(3));
+      },
+      [&](const switchsim::SlottedResult& r) { result = r; });
+  session.run_sweep(sweep);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_GT(result->fault_stats.transitions, 0);
+}
+
 /// One --profile --metrics session over four cells at `jobs`; returns
 /// the merged global registry it wrote.
 obs::Registry profiled_sweep(const std::string& jobs,

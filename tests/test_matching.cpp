@@ -230,6 +230,19 @@ TEST(Greedy, MatcherReusedAcrossCallsStaysExact) {
   }
 }
 
+TEST(Greedy, RejectsPortCountsPastSixteenBits) {
+  // Sort records pack ports into 16 bits; 65535 ports still fit.
+  GreedyMatcher matcher;
+  std::vector<std::int64_t> selected;
+  const std::vector<ScoredCandidate> candidates = {{0, 1, 1.0, 7}};
+  matcher.match_into(candidates, 0xffff, 0xffff, selected);
+  EXPECT_EQ(selected, std::vector<std::int64_t>{7});
+  EXPECT_THROW(matcher.match_into(candidates, 0x10000, 2, selected),
+               SimulationError);
+  EXPECT_THROW(matcher.match_into(candidates, 2, 0x10000, selected),
+               SimulationError);
+}
+
 // ------------------------------------------------------------ HopcroftKarp
 
 TEST(HopcroftKarp, PerfectOnCompleteBipartite) {
