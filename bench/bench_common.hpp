@@ -293,18 +293,18 @@ class ObsSession {
 
 /// Run-scoped fault wiring for the shared --fault-plan / --fault-seed /
 /// --watchdog flags. Construct after parse_common with the fabric size
-/// and the horizon the bench will simulate (random plans draw their
-/// events over it; slotted benches pass their horizon in slots, the
-/// slotted model's time unit), then apply() to each config about to
-/// run. With no flags set, apply() is a no-op and outputs stay
-/// bit-identical. Benches reach it through bench::RunSession.
+/// and the horizon the bench will simulate, in `unit` ("s", or "slots"
+/// for slotted benches: the slotted model's time unit); random plans
+/// draw their events over it. Then apply() to each config about to run.
+/// With no flags set, apply() is a no-op and outputs stay bit-identical.
+/// Benches reach it through bench::RunSession.
 class FaultSession {
  public:
   /// `obs` (optional): flushed with the "interrupted" marker when the
   /// plan fails to parse, so a sweep that dies on a bad fault file still
   /// leaves honestly-labelled partial artifacts behind.
-  FaultSession(const CliParser& cli, std::int32_t hosts, SimTime horizon,
-               ObsSession* obs = nullptr)
+  FaultSession(const CliParser& cli, std::int32_t hosts, double horizon,
+               const char* unit, ObsSession* obs = nullptr)
       : watchdog_wall_sec_(cli.get_real("watchdog")) {
     const std::string& spec = cli.get_text("fault-plan");
     // Plan loading fails like a bad flag would: a clear message and exit
@@ -313,7 +313,7 @@ class FaultSession {
       if (spec == "random") {
         fault::RandomFaultSpec random;
         random.ports = hosts;
-        random.horizon = horizon.seconds;
+        random.horizon = horizon;
         plan_ = fault::FaultPlan::randomized(
             random,
             static_cast<std::uint64_t>(cli.get_integer("fault-seed")));
@@ -329,8 +329,8 @@ class FaultSession {
       std::exit(2);
     }
     if (!plan_.empty()) {
-      std::printf("fault plan: %zu events over [0, %.3g] s\n", plan_.size(),
-                  plan_.span());
+      std::printf("fault plan: %zu events over [0, %.3g] %s\n", plan_.size(),
+                  plan_.span(), unit);
     }
   }
 

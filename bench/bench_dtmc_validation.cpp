@@ -31,8 +31,7 @@ int main(int argc, char** argv) {
 
   // The analytic half (power iteration) has no resumable state, so the
   // sim half alone cannot honour a checkpoint of "the bench's work".
-  bench::RunSession session(cli, "dtmc_validation", 2,
-                            seconds(static_cast<double>(slots)),
+  bench::RunSession session(cli, "dtmc_validation", 2, slots,
                             bench::RunSession::Checkpointing::kNone);
   std::printf("=== 2x2 DTMC vs simulator: mean total queue (packets) ===\n");
   stats::Table table({"load/port", "chain E[Q]", "sim E[Q]", "sim/chain",

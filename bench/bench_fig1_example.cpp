@@ -42,8 +42,7 @@ int main(int argc, char** argv) {
 
   const sched::PortId ports = 4;
   const switchsim::Slot horizon = 6;
-  bench::RunSession session(cli, "fig1_example", ports,
-                            seconds(static_cast<double>(horizon)));
+  bench::RunSession session(cli, "fig1_example", ports, horizon);
   stats::Table table({"scheme", "delivered pkts", "left pkts",
                       "flows done", "max query FCT (slots)"});
 

@@ -17,7 +17,6 @@
 #include "flowsim/flow_sim.hpp"
 #include "pktsim/packet_sim.hpp"
 #include "workload/generators.hpp"
-#include "workload/trace_io.hpp"
 
 namespace {
 
@@ -80,12 +79,13 @@ int main(int argc, char** argv) {
 
   // One trace, every simulator.
   Rng rng(static_cast<std::uint64_t>(cli.get_integer("seed")));
-  workload::RecordingTraffic recorder(workload::paper_mix(
-      cli.get_real("load"), 0.25, racks, per_rack, gbps(10.0), horizon,
-      rng));
-  while (recorder.next()) {
+  const workload::TrafficSourcePtr source = workload::paper_mix(
+      cli.get_real("load"), 0.25, racks, per_rack, gbps(10.0), horizon, rng);
+  std::vector<workload::FlowArrival> trace;
+  while (const auto arrival = source->next()) {
+    trace.push_back(*arrival);
   }
-  std::printf("trace: %zu flows\n\n", recorder.recorded().size());
+  std::printf("trace: %zu flows\n\n", trace.size());
 
   // Both halves replay one recorded trace through model-specific result
   // types — there is no ExperimentResult cell to store or replay, so
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
     config.v = cell.pkt_v;
     config.horizon = horizon;
     config.paranoid = cli.get_flag("paranoid");
-    workload::VectorTraffic replay(recorder.recorded());
+    workload::VectorTraffic replay(trace);
     const auto r = run_packet_sim(config, replay);
     const auto q = r.fct.summary(stats::FlowClass::kQuery);
     const auto b = r.fct.summary(stats::FlowClass::kBackground);
@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
     config.paranoid = cli.get_flag("paranoid");
     session.apply(config);
     auto scheduler = sched::make_scheduler(cell.spec);
-    workload::VectorTraffic replay(recorder.recorded());
+    workload::VectorTraffic replay(trace);
     const auto r = run_flow_sim(config, *scheduler, replay);
     const auto q = r.fct.summary(stats::FlowClass::kQuery);
     const auto b = r.fct.summary(stats::FlowClass::kBackground);

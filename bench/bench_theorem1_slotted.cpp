@@ -48,8 +48,7 @@ int main(int argc, char** argv) {
   mix.large = 24;
   mix.p_small = 0.9;
 
-  bench::RunSession session(cli, "theorem1_slotted", n,
-                            seconds(static_cast<double>(horizon)));
+  bench::RunSession session(cli, "theorem1_slotted", n, horizon);
 
   stats::Table table({"scheduler", "avg backlog pkts", "avg penalty",
                       "qry avg FCT", "bg avg FCT", "thpt pkt/slot",

@@ -51,24 +51,22 @@ class RunSession {
   enum class Checkpointing { kCells, kNone };
 
   /// Construct once, directly after parse_common. `fault_ports` /
-  /// `fault_horizon` size a --fault-plan=random schedule (pass the
-  /// fabric's host count and the swept horizon; slotted benches pass
-  /// their port count and their horizon in slots).
+  /// `fault_horizon` size a --fault-plan=random schedule: pass the
+  /// fabric's host count and the swept horizon.
   RunSession(const CliParser& cli, std::string bench_name,
              std::int32_t fault_ports, SimTime fault_horizon,
              Checkpointing checkpointing = Checkpointing::kCells)
-      : cli_(cli),
-        obs_(cli),
-        faults_(cli, fault_ports, fault_horizon, &obs_),
-        jobs_(exec::resolve_jobs(static_cast<int>(cli.get_integer("jobs")))) {
-    if (checkpointing == Checkpointing::kCells) {
-      ckpt_.emplace(cli, std::move(bench_name), obs_);
-    } else {
-      require_no_checkpoint_flags(cli);
-    }
-  }
+      : RunSession(cli, std::move(bench_name), fault_ports,
+                   fault_horizon.seconds, "s", checkpointing) {}
 
-  int jobs() const { return jobs_; }
+  /// Slotted benches: their port count and their horizon in slots, the
+  /// unit their fault plans are in.
+  RunSession(const CliParser& cli, std::string bench_name,
+             std::int32_t fault_ports, switchsim::Slot fault_horizon,
+             Checkpointing checkpointing = Checkpointing::kCells)
+      : RunSession(cli, std::move(bench_name), fault_ports,
+                   static_cast<double>(fault_horizon), "slots",
+                   checkpointing) {}
 
   /// Observability + fault wiring for one cell config (all passive).
   void apply(core::ExperimentConfig& config) {
@@ -154,6 +152,19 @@ class RunSession {
   void finish(const std::string& status = "ok") { obs_.finish(status); }
 
  private:
+  RunSession(const CliParser& cli, std::string bench_name,
+             std::int32_t fault_ports, double fault_horizon,
+             const char* horizon_unit, Checkpointing checkpointing)
+      : obs_(cli),
+        faults_(cli, fault_ports, fault_horizon, horizon_unit, &obs_),
+        jobs_(exec::resolve_jobs(static_cast<int>(cli.get_integer("jobs")))) {
+    if (checkpointing == Checkpointing::kCells) {
+      ckpt_.emplace(cli, std::move(bench_name), obs_);
+    } else {
+      require_no_checkpoint_flags(cli);
+    }
+  }
+
   void run_sequential(exec::Sweep& sweep) {
     for (std::size_t i = 0; i < sweep.size(); ++i) {
       exec::Cell& cell = sweep.cell(i);
@@ -271,7 +282,6 @@ class RunSession {
     std::exit(code);
   }
 
-  const CliParser& cli_;
   ObsSession obs_;
   FaultSession faults_;
   std::optional<CheckpointSession> ckpt_;

@@ -1,8 +1,11 @@
 // Trace workflow: generate a workload once, save it, replay it
 // byte-for-byte under different schedulers.
 //
-//   ./trace_workflow --load=0.9 --horizon=0.5 --out=/tmp/basrpt.trace
+//   ./trace_workflow --load=0.9 --horizon=0.5 --out=/tmp/basrpt.feed
 //
+// The recording is a basrpt-feed-v1 file (srv/feed.hpp), the format
+// basrptd serves: %.17g times parse back to the same bits, so every
+// replay equals the live run.
 // Pinning the arrival sequence is how you compare schedulers without
 // workload noise, share a regression workload across machines, or
 // archive the exact input of a published figure.
@@ -16,9 +19,9 @@
 #include "obs/trace.hpp"
 #include "report/metrics_json.hpp"
 #include "sched/factory.hpp"
+#include "srv/feed.hpp"
 #include "stats/table.hpp"
 #include "workload/generators.hpp"
-#include "workload/trace_io.hpp"
 
 int main(int argc, char** argv) {
   using namespace basrpt;
@@ -27,7 +30,7 @@ int main(int argc, char** argv) {
   cli.real("load", 0.9, "per-host offered load")
       .real("horizon", 0.5, "simulated seconds")
       .integer("seed", 1, "workload RNG seed")
-      .text("out", "/tmp/basrpt_example.trace", "trace file path")
+      .text("out", "/tmp/basrpt_example.feed", "recorded feed path")
       .text("metrics", "", "write run metrics (JSON, or CSV if *.csv)")
       .text("trace", "", "write flow lifecycle trace (Chrome JSON)")
       .real("heartbeat", 0.0, "log progress every N wall-seconds (0 = off)");
@@ -53,24 +56,30 @@ int main(int argc, char** argv) {
 
   // 1. Generate + record.
   Rng rng(static_cast<std::uint64_t>(cli.get_integer("seed")));
-  workload::RecordingTraffic recorder(workload::paper_mix(
+  const workload::TrafficSourcePtr source = workload::paper_mix(
       cli.get_real("load"), 0.15, fabric.racks, fabric.hosts_per_rack,
-      fabric.host_link, horizon, rng));
-  while (recorder.next()) {
+      fabric.host_link, horizon, rng);
+  std::vector<srv::FeedRecord> recorded;
+  while (const auto arrival = source->next()) {
+    recorded.push_back({*arrival, 0});
   }
-  workload::write_trace_file(cli.get_text("out"), recorder.recorded());
-  std::printf("recorded %zu arrivals to %s\n", recorder.recorded().size(),
+  srv::write_feed_file(cli.get_text("out"), recorded);
+  std::printf("recorded %zu arrivals to %s\n", recorded.size(),
               cli.get_text("out").c_str());
 
-  // 2. Replay the identical trace under several schedulers.
+  // 2. Replay the identical recording under several schedulers.
+  std::vector<workload::FlowArrival> arrivals;
+  for (const srv::FeedRecord& record :
+       srv::read_feed_file(cli.get_text("out"))) {
+    arrivals.push_back(record.arrival);
+  }
   stats::Table table({"scheduler", "qry avg ms", "qry slowdown",
                       "bg avg ms", "thpt Gbps"});
   for (const auto& spec :
        {sched::SchedulerSpec::srpt(), sched::SchedulerSpec::fast_basrpt(400),
         sched::SchedulerSpec::fifo()}) {
     auto scheduler = sched::make_scheduler(spec);
-    workload::VectorTraffic replay(
-        workload::read_trace_file(cli.get_text("out")));
+    workload::VectorTraffic replay(arrivals);
     flowsim::FlowSimConfig config;
     config.fabric = fabric;
     config.horizon = horizon;

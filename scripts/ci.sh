@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 (warnings-as-errors build + full test suite,
-# then the end-to-end benchmark's build and self-test), then tier-2
+# a record-and-replay run of examples/trace_workflow, then the
+# end-to-end benchmark's build and self-test), then tier-2
 # (AddressSanitizer + UBSan build + full test suite, fault and
 # kill-and-resume soaks, and a ThreadSanitizer parallel-sweep
 # determinism check).
 #
 #   scripts/ci.sh            # all stages
-#   scripts/ci.sh --tier1    # build + ctest + e2ebench self-test only
+#   scripts/ci.sh --tier1    # build + ctest + trace replay + e2ebench self-test
 #   scripts/ci.sh --tier2    # sanitizer build + ctest only
 #   scripts/ci.sh --soak     # serving soak only (overload + drain)
 #   scripts/ci.sh --perf     # perf stage only (bench + regression gate)
@@ -43,6 +44,21 @@ if [[ "$RUN_TIER1" == 1 ]]; then
   cmake --build build-ci -j "$JOBS"
   ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
+  # Record a workload as a basrpt-feed-v1 file and replay it under three
+  # schedulers (examples/trace_workflow) at a smoke-test horizon. The
+  # recording must be a complete feed and every replay must finish.
+  echo "==== tier 1: trace_workflow record + replay ===="
+  TRACE_TMP="$(mktemp -d)"
+  trap 'rm -rf "$TRACE_TMP"' EXIT
+  ./build-ci/examples/trace_workflow --horizon 0.02 \
+      --out "$TRACE_TMP/workload.feed" > "$TRACE_TMP/replay.out"
+  grep -q '^recorded [1-9][0-9]* arrivals' "$TRACE_TMP/replay.out"
+  head -n 1 "$TRACE_TMP/workload.feed" | grep -qx 'basrpt-feed-v1'
+  tail -n 1 "$TRACE_TMP/workload.feed" | grep -qx 'end'
+  for scheduler in srpt fast-basrpt fifo; do
+    grep -q "^$scheduler" "$TRACE_TMP/replay.out"
+  done
+
   # The end-to-end benchmark (e2ebench/) compiles against the library's
   # public API in its own Release tree; building it and running its
   # harness tests here makes a library change that breaks it fail CI.
@@ -74,7 +90,7 @@ if [[ "$RUN_TIER2" == 1 ]]; then
   # also snapshots genuine mid-run slotted state.
   echo "==== tier 2: kill-and-resume soak (ASan/UBSan) ===="
   CKPT_TMP="$(mktemp -d)"
-  trap 'rm -rf "$CKPT_TMP"' EXIT
+  trap 'rm -rf "$CKPT_TMP" "${TRACE_TMP:-}"' EXIT
 
   kill_and_resume() {
     local name="$1"; shift
@@ -169,7 +185,7 @@ if [[ "$RUN_SOAK" == 1 ]]; then
   cmake -B build-ci >/dev/null
   cmake --build build-ci -j "$JOBS" --target bench_soak
   SOAK_TMP="$(mktemp -d)"
-  trap 'rm -rf "${SOAK_TMP:-}" "${CKPT_TMP:-}"' EXIT
+  trap 'rm -rf "${SOAK_TMP:-}" "${CKPT_TMP:-}" "${TRACE_TMP:-}"' EXIT
 
   soak_stage() (
     set -e
@@ -345,7 +361,7 @@ if [[ "$RUN_PERF" == 1 ]]; then
 
   PERF_TMP="$(mktemp -d)"
   # Re-arm the EXIT trap to also cover earlier stages' scratch dirs.
-  trap 'rm -rf "$PERF_TMP" "${CKPT_TMP:-}" "${SOAK_TMP:-}"' EXIT
+  trap 'rm -rf "$PERF_TMP" "${CKPT_TMP:-}" "${SOAK_TMP:-}" "${TRACE_TMP:-}"' EXIT
   GATE_ARGS=()
   if [[ "${BASRPT_PERF_STRICT:-1}" == 0 ]]; then
     GATE_ARGS=(--warn-only)

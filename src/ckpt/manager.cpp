@@ -9,11 +9,13 @@
 #include <cstring>
 #include <filesystem>
 #include <optional>
+#include <string_view>
 #include <system_error>
 #include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/fields.hpp"
 #include "perf/profiler.hpp"
 
 namespace basrpt::ckpt {
@@ -80,17 +82,13 @@ std::optional<std::uint64_t> parse_seq(const std::string& filename,
                        std::strlen(kSuffix), kSuffix) != 0) {
     return std::nullopt;
   }
-  const std::string digits = filename.substr(
+  const std::string_view digits = std::string_view(filename).substr(
       prefix.size(), filename.size() - prefix.size() - std::strlen(kSuffix));
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
-    return std::nullopt;
+  std::uint64_t seq = 0;
+  if (!fields::parse_u64(digits, &seq)) {
+    return std::nullopt;  // not digits, or > 2^64: not ours
   }
-  try {
-    return std::stoull(digits);
-  } catch (const std::exception&) {
-    return std::nullopt;  // > 2^64: not ours
-  }
+  return seq;
 }
 
 std::string seq_name(const std::string& run_id, std::uint64_t seq) {

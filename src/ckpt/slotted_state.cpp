@@ -1,13 +1,15 @@
 #include "ckpt/slotted_state.hpp"
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "ckpt/stats_codec.hpp"
+#include "common/fields.hpp"
 #include "common/serial.hpp"
 
 namespace basrpt::ckpt {
@@ -27,16 +29,19 @@ void write_arrival(SnapshotWriter::Section& out, const char* key,
 
 SlottedArrival read_arrival(SectionReader& in, const char* key) {
   const std::string v = in.text(key);
-  std::istringstream cells(v);
-  SlottedArrival a;
-  long long slot = 0, size = 0;
-  long src = 0, dst = 0;
-  unsigned cls = 0;
-  if (!(cells >> slot >> src >> dst >> size >> cls) ||
-      !(cells >> std::ws).eof() || cls > 1) {
+  std::array<std::string_view, 5> cells;
+  std::int64_t slot = 0, src = 0, dst = 0, size = 0;
+  std::uint64_t cls = 0;
+  if (fields::split(v, ' ', cells) != cells.size() ||
+      !fields::parse_i64(cells[0], &slot) ||
+      !fields::parse_i64(cells[1], &src) ||
+      !fields::parse_i64(cells[2], &dst) ||
+      !fields::parse_i64(cells[3], &size) ||
+      !fields::parse_u64(cells[4], &cls) || cls > 1) {
     in.fail(std::string(key) +
             " must be '<slot> <src> <dst> <size> <cls>', got '" + v + "'");
   }
+  SlottedArrival a;
   a.slot = slot;
   a.src = static_cast<switchsim::PortId>(src);
   a.dst = static_cast<switchsim::PortId>(dst);
@@ -122,12 +127,9 @@ switchsim::SlottedSimState read_slotted_state(const Snapshot& snap) {
   s.last_slot_seen = run.i64("last_slot_seen");
   s.scheduler_invocations = run.u64("scheduler_invocations");
   s.delivered_packets = run.i64("delivered_packets");
-  const std::uint64_t n_words = run.u64("scheduler_state");
-  if (n_words > run.remaining()) {
-    run.fail("scheduler_state count exceeds the section's remaining payload");
-  }
-  s.scheduler_state.reserve(static_cast<std::size_t>(n_words));
-  for (std::uint64_t i = 0; i < n_words; ++i) {
+  const std::size_t n_words = run.count("scheduler_state", 1);
+  s.scheduler_state.reserve(n_words);
+  for (std::size_t i = 0; i < n_words; ++i) {
     s.scheduler_state.push_back(run.u64("w"));
   }
   run.expect_done();
@@ -138,32 +140,28 @@ switchsim::SlottedSimState read_slotted_state(const Snapshot& snap) {
   s.lifecycle.flows_completed = lc.i64("flows_completed");
   s.lifecycle.flows_requeued = lc.i64("flows_requeued");
   s.lifecycle.bytes_arrived = Bytes{lc.i64("bytes_arrived")};
-  const std::uint64_t n_prev = lc.u64("prev_selected");
-  if (n_prev > lc.remaining()) {
-    lc.fail("prev_selected count exceeds the section's remaining payload");
-  }
-  s.lifecycle.prev_selected.reserve(static_cast<std::size_t>(n_prev));
-  for (std::uint64_t i = 0; i < n_prev; ++i) {
+  const std::size_t n_prev = lc.count("prev_selected", 1);
+  s.lifecycle.prev_selected.reserve(n_prev);
+  for (std::size_t i = 0; i < n_prev; ++i) {
     s.lifecycle.prev_selected.push_back(lc.i64("id"));
   }
   lc.expect_done();
 
   SectionReader fl = snap.reader("slotted.flows");
-  const std::uint64_t n_flows = fl.u64("flows");
-  if (n_flows > fl.remaining()) {
-    fl.fail("flow count exceeds the section's remaining payload");
-  }
-  s.flows.reserve(static_cast<std::size_t>(n_flows));
-  for (std::uint64_t i = 0; i < n_flows; ++i) {
+  const std::size_t n_flows = fl.count("flows", 1);
+  s.flows.reserve(n_flows);
+  for (std::size_t i = 0; i < n_flows; ++i) {
     const std::string v = fl.text("f");
-    std::istringstream cells(v);
-    long long id = 0, size = 0, remaining = 0;
-    long src = 0, dst = 0;
-    std::string arrival_hex;
-    unsigned cls = 0;
-    if (!(cells >> id >> src >> dst >> size >> remaining >> arrival_hex >>
-          cls) ||
-        !(cells >> std::ws).eof() || cls > 1) {
+    std::array<std::string_view, 7> cells;
+    std::int64_t id = 0, src = 0, dst = 0, size = 0, remaining = 0;
+    std::uint64_t cls = 0;
+    if (fields::split(v, ' ', cells) != cells.size() ||
+        !fields::parse_i64(cells[0], &id) ||
+        !fields::parse_i64(cells[1], &src) ||
+        !fields::parse_i64(cells[2], &dst) ||
+        !fields::parse_i64(cells[3], &size) ||
+        !fields::parse_i64(cells[4], &remaining) ||
+        !fields::parse_u64(cells[6], &cls) || cls > 1) {
       fl.fail("malformed flow record '" + v + "'");
     }
     queueing::Flow f;
@@ -173,7 +171,7 @@ switchsim::SlottedSimState read_slotted_state(const Snapshot& snap) {
     f.size = Bytes{size};
     f.remaining = Bytes{remaining};
     try {
-      f.arrival = SimTime{f64_from_hex(arrival_hex)};
+      f.arrival = SimTime{f64_from_hex(cells[5])};
     } catch (const std::exception&) {
       fl.fail("flow arrival must be a hex-encoded double: '" + v + "'");
     }
@@ -205,20 +203,14 @@ switchsim::SlottedSimState read_slotted_state(const Snapshot& snap) {
   SectionReader ft = snap.reader("slotted.fault");
   s.fault_cursor = ft.u64("cursor");
   s.fault_stats = read_fault_stats(ft);
-  const std::uint64_t n_credit = ft.u64("credit");
-  if (n_credit > ft.remaining()) {
-    ft.fail("credit count exceeds the section's remaining payload");
-  }
-  s.credit.reserve(static_cast<std::size_t>(n_credit));
-  for (std::uint64_t i = 0; i < n_credit; ++i) {
+  const std::size_t n_credit = ft.count("credit", 1);
+  s.credit.reserve(n_credit);
+  for (std::size_t i = 0; i < n_credit; ++i) {
     s.credit.push_back(ft.f64("c"));
   }
-  const std::uint64_t n_sel = ft.u64("last_selected");
-  if (n_sel > ft.remaining()) {
-    ft.fail("last_selected count exceeds the section's remaining payload");
-  }
-  s.last_selected.reserve(static_cast<std::size_t>(n_sel));
-  for (std::uint64_t i = 0; i < n_sel; ++i) {
+  const std::size_t n_sel = ft.count("last_selected", 1);
+  s.last_selected.reserve(n_sel);
+  for (std::size_t i = 0; i < n_sel; ++i) {
     s.last_selected.push_back(ft.i64("id"));
   }
   s.candidates_masked_base = ft.i64("candidates_masked_base");

@@ -1,9 +1,11 @@
 #include "ckpt/snapshot.hpp"
 
+#include <array>
 #include <fstream>
 #include <sstream>
 
 #include "common/assert.hpp"
+#include "common/fields.hpp"
 #include "common/serial.hpp"
 
 namespace basrpt::ckpt {
@@ -38,46 +40,29 @@ std::string crc_hex(std::uint32_t crc) {
   return u64_to_hex(crc).substr(8);
 }
 
-std::uint64_t parse_count(const std::string& cell, std::size_t line,
+std::uint64_t parse_count(std::string_view cell, std::size_t line,
                           const char* what) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t value = std::stoull(cell, &pos);
-    if (pos != cell.size() || cell.empty() || cell[0] == '-' ||
-        cell[0] == '+') {
-      throw ParseError(kParseContext, line,
-                       std::string(what) + " is not a count: '" + cell + "'");
-    }
-    return value;
-  } catch (const ParseError&) {
-    throw;
-  } catch (const std::exception&) {
+  std::uint64_t value = 0;
+  if (!fields::parse_u64(cell, &value)) {
     throw ParseError(kParseContext, line,
-                     std::string(what) + " is not a count: '" + cell + "'");
+                     std::string(what) + " is not a count: '" +
+                         std::string(cell) + "'");
   }
+  return value;
 }
 
-std::uint32_t parse_crc(const std::string& cell, std::size_t line) {
+std::uint32_t parse_crc(std::string_view cell, std::size_t line) {
   if (cell.size() != 8) {
     throw ParseError(kParseContext, line,
-                     "CRC must be 8 hex digits: '" + cell + "'");
+                     "CRC must be 8 hex digits: '" + std::string(cell) + "'");
   }
   try {
-    return static_cast<std::uint32_t>(u64_from_hex("00000000" + cell));
+    return static_cast<std::uint32_t>(
+        u64_from_hex(std::string("00000000").append(cell)));
   } catch (const std::exception&) {
     throw ParseError(kParseContext, line,
-                     "CRC must be 8 hex digits: '" + cell + "'");
+                     "CRC must be 8 hex digits: '" + std::string(cell) + "'");
   }
-}
-
-std::vector<std::string> split_ws(const std::string& line) {
-  std::vector<std::string> fields;
-  std::istringstream in(line);
-  std::string cell;
-  while (in >> cell) {
-    fields.push_back(cell);
-  }
-  return fields;
 }
 
 }  // namespace
@@ -158,62 +143,62 @@ void SectionReader::fail(const std::string& what) const {
                    "section '" + section_->name + "': " + what);
 }
 
-std::string SectionReader::value_of(const char* key) {
-  const std::string& line = next(key);
+std::string_view SectionReader::value_of(const char* key) {
+  const std::string_view line = next(key);
   const std::size_t space = line.find(' ');
-  if (space == std::string::npos) {
-    fail("expected 'key value', got '" + line + "'");
+  if (space == std::string_view::npos) {
+    fail("expected 'key value', got '" + std::string(line) + "'");
   }
-  const std::string got = line.substr(0, space);
+  const std::string_view got = line.substr(0, space);
   if (got != key) {
-    fail("expected key '" + std::string(key) + "', got '" + got + "'");
+    fail("expected key '" + std::string(key) + "', got '" + std::string(got) +
+         "'");
   }
   return line.substr(space + 1);
 }
 
 std::uint64_t SectionReader::u64(const char* key) {
-  const std::string cell = value_of(key);
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t value = std::stoull(cell, &pos);
-    if (pos != cell.size() || cell.empty() || cell[0] == '-' ||
-        cell[0] == '+') {
-      fail(std::string(key) + " is not a u64: '" + cell + "'");
-    }
-    return value;
-  } catch (const ParseError&) {
-    throw;
-  } catch (const std::exception&) {
-    fail(std::string(key) + " is not a u64: '" + cell + "'");
+  const std::string_view cell = value_of(key);
+  std::uint64_t value = 0;
+  if (!fields::parse_u64(cell, &value)) {
+    fail(std::string(key) + " is not a u64: '" + std::string(cell) + "'");
   }
+  return value;
 }
 
 std::int64_t SectionReader::i64(const char* key) {
-  const std::string cell = value_of(key);
-  try {
-    std::size_t pos = 0;
-    const std::int64_t value = std::stoll(cell, &pos);
-    if (pos != cell.size()) {
-      fail(std::string(key) + " is not an integer: '" + cell + "'");
-    }
-    return value;
-  } catch (const ParseError&) {
-    throw;
-  } catch (const std::exception&) {
-    fail(std::string(key) + " is not an integer: '" + cell + "'");
+  const std::string_view cell = value_of(key);
+  std::int64_t value = 0;
+  if (!fields::parse_i64(cell, &value)) {
+    fail(std::string(key) + " is not an integer: '" + std::string(cell) +
+         "'");
   }
+  return value;
 }
 
 double SectionReader::f64(const char* key) {
-  const std::string cell = value_of(key);
+  const std::string_view cell = value_of(key);
   try {
     return f64_from_hex(cell);
   } catch (const std::exception&) {
-    fail(std::string(key) + " is not a hex-encoded double: '" + cell + "'");
+    fail(std::string(key) + " is not a hex-encoded double: '" +
+         std::string(cell) + "'");
   }
 }
 
-std::string SectionReader::text(const char* key) { return value_of(key); }
+std::size_t SectionReader::count(const char* key, std::size_t per_item) {
+  const std::uint64_t n = u64(key);
+  const std::uint64_t cap = remaining() / (per_item == 0 ? 1 : per_item);
+  if (n > cap) {
+    fail(std::string(key) + " count " + std::to_string(n) +
+         " exceeds the section's remaining payload");
+  }
+  return static_cast<std::size_t>(n);
+}
+
+std::string SectionReader::text(const char* key) {
+  return std::string(value_of(key));
+}
 
 void SectionReader::expect_done() {
   if (cursor_ != section_->lines.size()) {
@@ -228,15 +213,12 @@ void SectionReader::expect_done() {
 // Snapshot parse
 
 Snapshot Snapshot::parse(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line)) {
+  std::string raw;
+  if (!std::getline(in, raw)) {
     throw ParseError(kParseContext, 1,
                      std::string("expected '") + kMagic + "'");
   }
-  if (!line.empty() && line.back() == '\r') {
-    line.pop_back();  // tolerate CRLF
-  }
-  if (line != kMagic) {
+  if (fields::strip_cr(raw) != kMagic) {
     throw ParseError(kParseContext, 1,
                      std::string("expected '") + kMagic + "'");
   }
@@ -245,29 +227,28 @@ Snapshot Snapshot::parse(std::istream& in) {
   std::size_t line_no = 1;
   bool saw_newline_at_end = !in.eof();
   bool saw_trailer = false;
-  while (std::getline(in, line)) {
+  while (std::getline(in, raw)) {
     ++line_no;
     saw_newline_at_end = !in.eof();
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
+    const std::string_view line = fields::strip_cr(raw);
     if (saw_trailer) {
       // Anything after `end <n>` is a concatenation accident or an
       // attacker-controlled tail; either way the file is not trustworthy.
       throw ParseError(kParseContext, line_no,
                        "trailing content after 'end' trailer");
     }
-    const auto fields = split_ws(line);
-    if (fields.empty()) {
+    if (line.empty()) {
       throw ParseError(kParseContext, line_no, "blank line inside snapshot");
     }
-    if (fields[0] == "end") {
-      if (fields.size() != 2) {
+    std::array<std::string_view, 4> cells;
+    const std::size_t n = fields::split(line, ' ', cells);
+    if (cells[0] == "end") {
+      if (n != 2) {
         throw ParseError(kParseContext, line_no,
                          "'end' expects the section count");
       }
       const std::uint64_t count =
-          parse_count(fields[1], line_no, "section count");
+          parse_count(cells[1], line_no, "section count");
       if (count != snap.sections_.size()) {
         throw ParseError(kParseContext, line_no,
                          "trailer says " + std::to_string(count) +
@@ -277,16 +258,17 @@ Snapshot Snapshot::parse(std::istream& in) {
       saw_trailer = true;
       continue;
     }
-    if (fields[0] != "section") {
+    if (cells[0] != "section") {
       throw ParseError(kParseContext, line_no,
-                       "expected 'section' or 'end', got '" + fields[0] + "'");
+                       "expected 'section' or 'end', got '" +
+                           std::string(cells[0]) + "'");
     }
-    if (fields.size() != 4) {
+    if (n != 4) {
       throw ParseError(kParseContext, line_no,
                        "'section' expects <name> <nlines> <crc32>");
     }
     Section section;
-    section.name = fields[1];
+    section.name = std::string(cells[1]);
     if (!valid_name(section.name)) {
       throw ParseError(kParseContext, line_no,
                        "bad section name '" + section.name + "'");
@@ -295,18 +277,18 @@ Snapshot Snapshot::parse(std::istream& in) {
       throw ParseError(kParseContext, line_no,
                        "duplicate section '" + section.name + "'");
     }
-    const std::uint64_t nlines = parse_count(fields[2], line_no, "nlines");
+    const std::uint64_t nlines = parse_count(cells[2], line_no, "nlines");
     // An absurd count is a corrupt header; refuse before attempting to
     // allocate or loop on it.
     if (nlines > (1ull << 32)) {
       throw ParseError(kParseContext, line_no,
                        "implausible section size " + std::to_string(nlines));
     }
-    const std::uint32_t want_crc = parse_crc(fields[3], line_no);
+    const std::uint32_t want_crc = parse_crc(cells[3], line_no);
     section.first_line = line_no + 1;
     section.lines.reserve(static_cast<std::size_t>(nlines));
     for (std::uint64_t i = 0; i < nlines; ++i) {
-      if (!std::getline(in, line)) {
+      if (!std::getline(in, raw)) {
         throw ParseError(kParseContext, line_no,
                          "section '" + section.name + "' truncated: expected " +
                              std::to_string(nlines) + " lines, got " +
@@ -314,10 +296,7 @@ Snapshot Snapshot::parse(std::istream& in) {
       }
       ++line_no;
       saw_newline_at_end = !in.eof();
-      if (!line.empty() && line.back() == '\r') {
-        line.pop_back();
-      }
-      section.lines.push_back(line);
+      section.lines.emplace_back(fields::strip_cr(raw));
     }
     const std::uint32_t got_crc = crc_of_lines(section.lines);
     if (got_crc != want_crc) {

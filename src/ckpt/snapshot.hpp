@@ -29,6 +29,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace basrpt::ckpt {
@@ -98,6 +99,12 @@ class SectionReader {
   double f64(const char* key);
   std::string text(const char* key);
 
+  /// A `key <count>` line for `count` items of `per_item` lines each,
+  /// checked against what the section could still hold: a count beyond
+  /// that is a corrupt file, not a big vector, so it fails here before
+  /// anyone reserves room for it.
+  std::size_t count(const char* key, std::size_t per_item);
+
   /// Asserts the section was fully consumed; trailing unread lines mean
   /// schema drift and raise ParseError.
   void expect_done();
@@ -107,8 +114,9 @@ class SectionReader {
   [[noreturn]] void fail(const std::string& what) const;
 
  private:
-  /// Splits `key value`, validating the key. Returns the value part.
-  std::string value_of(const char* key);
+  /// Splits `key value`, validating the key. Returns the value part,
+  /// a view into the section's line.
+  std::string_view value_of(const char* key);
   std::size_t current_file_line() const;
 
   const Section* section_;

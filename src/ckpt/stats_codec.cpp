@@ -1,31 +1,16 @@
 #include "ckpt/stats_codec.hpp"
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 
+#include "common/fields.hpp"
 #include "common/serial.hpp"
 
 namespace basrpt::ckpt {
-
-namespace {
-
-/// Reads a `key <count>` line and sanity-checks it against what the
-/// section could still physically hold (`per_item` lines each). A count
-/// beyond that is a corrupt file, not a big vector.
-std::size_t read_count(SectionReader& in, const char* key,
-                       std::size_t per_item) {
-  const std::uint64_t n = in.u64(key);
-  const std::uint64_t cap = in.remaining() / (per_item == 0 ? 1 : per_item);
-  if (n > cap) {
-    in.fail(std::string(key) + " count " + std::to_string(n) +
-            " exceeds the section's remaining payload");
-  }
-  return static_cast<std::size_t>(n);
-}
-
-}  // namespace
 
 void write_moments(SnapshotWriter::Section& out,
                    const stats::StreamingMoments::State& s) {
@@ -65,19 +50,19 @@ stats::TimeSeries::State read_timeseries(SectionReader& in) {
     in.fail("stride must be >= 1");
   }
   s.pending = static_cast<std::size_t>(in.u64("pending"));
-  const std::size_t n = read_count(in, "points", 1);
+  const std::size_t n = in.count("points", 1);
   s.points.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     // Each point line is `p <t-hex> <value-hex>` — two cells, one line.
     const std::string v = in.text("p");
-    const std::size_t space = v.find(' ');
-    if (space == std::string::npos) {
+    std::array<std::string_view, 2> cells;
+    if (fields::split(v, ' ', cells) != 2) {
       in.fail("point must be '<t-hex> <value-hex>', got '" + v + "'");
     }
     stats::TimeSeries::Point p;
     try {
-      p.t = f64_from_hex(v.substr(0, space));
-      p.value = f64_from_hex(v.substr(space + 1));
+      p.t = f64_from_hex(cells[0]);
+      p.value = f64_from_hex(cells[1]);
     } catch (const std::exception&) {
       in.fail("point cells must be hex-encoded doubles: '" + v + "'");
     }
@@ -107,7 +92,7 @@ void write_fct(SnapshotWriter::Section& out,
 
 stats::FctAggregator::State read_fct(SectionReader& in) {
   stats::FctAggregator::State s;
-  const std::size_t n_classes = read_count(in, "classes", 14);
+  const std::size_t n_classes = in.count("classes", 14);
   s.classes.reserve(n_classes);
   for (std::size_t i = 0; i < n_classes; ++i) {
     stats::FctAggregator::ClassState c;
@@ -117,13 +102,13 @@ stats::FctAggregator::State read_fct(SectionReader& in) {
     }
     c.cls = static_cast<stats::FlowClass>(cls);
     c.moments = read_moments(in);
-    const std::size_t n_fct = read_count(in, "fct_samples", 1);
+    const std::size_t n_fct = in.count("fct_samples", 1);
     c.fct_samples.reserve(n_fct);
     for (std::size_t j = 0; j < n_fct; ++j) {
       c.fct_samples.push_back(in.f64("s"));
     }
     c.slowdown_moments = read_moments(in);
-    const std::size_t n_sd = read_count(in, "slowdown_samples", 1);
+    const std::size_t n_sd = in.count("slowdown_samples", 1);
     c.slowdown_samples.reserve(n_sd);
     for (std::size_t j = 0; j < n_sd; ++j) {
       c.slowdown_samples.push_back(in.f64("s"));

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/assert.hpp"
+#include "common/fields.hpp"
 
 namespace basrpt {
 
@@ -101,34 +102,18 @@ bool CliParser::parse(int argc, const char* const* argv) {
         BASRPT_REQUIRE(i + 1 < argc, "option --" + name + " needs a value");
         value = argv[++i];
       }
-      // Catch std::exception, not just logic_error: stoll/stod throw
-      // std::out_of_range (a runtime_error) on values like "1e999".
+      std::int64_t integer = 0;
+      double real = 0.0;
       if (opt.kind == Kind::kInteger) {
-        try {
-          size_t pos = 0;
-          (void)std::stoll(*value, &pos);
-          BASRPT_REQUIRE(pos == value->size(),
-                         "option --" + name + " expects an integer, got '" +
-                             *value + "'");
-        } catch (const ConfigError&) {
-          throw;
-        } catch (const std::exception&) {
-          throw ConfigError("option --" + name + " expects an integer, got '" +
-                            *value + "'");
-        }
+        BASRPT_REQUIRE(fields::parse_i64(*value, &integer),
+                       "option --" + name + " expects an integer, got '" +
+                           *value + "'");
       } else if (opt.kind == Kind::kReal) {
-        try {
-          size_t pos = 0;
-          (void)std::stod(*value, &pos);
-          BASRPT_REQUIRE(pos == value->size(),
-                         "option --" + name + " expects a number, got '" +
-                             *value + "'");
-        } catch (const ConfigError&) {
-          throw;
-        } catch (const std::exception&) {
-          throw ConfigError("option --" + name + " expects a number, got '" +
-                            *value + "'");
-        }
+        // Overflow ("1e999") and non-finite values ("inf", "nan") are
+        // malformed too: an infinite --horizon would never end.
+        BASRPT_REQUIRE(fields::parse_finite(*value, &real),
+                       "option --" + name + " expects a number, got '" +
+                           *value + "'");
       }
       opt.value = *value;
     }
@@ -149,11 +134,17 @@ bool CliParser::get_flag(const std::string& name) const {
 }
 
 std::int64_t CliParser::get_integer(const std::string& name) const {
-  return std::stoll(find(name, Kind::kInteger).value);
+  std::int64_t value = 0;
+  BASRPT_ASSERT(fields::parse_i64(find(name, Kind::kInteger).value, &value),
+                "option --" + name + " holds a malformed integer");
+  return value;
 }
 
 double CliParser::get_real(const std::string& name) const {
-  return std::stod(find(name, Kind::kReal).value);
+  double value = 0.0;
+  BASRPT_ASSERT(fields::parse_finite(find(name, Kind::kReal).value, &value),
+                "option --" + name + " holds a malformed number");
+  return value;
 }
 
 const std::string& CliParser::get_text(const std::string& name) const {

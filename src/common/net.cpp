@@ -12,6 +12,7 @@
 #include <cstring>
 
 #include "common/assert.hpp"
+#include "common/fields.hpp"
 
 namespace basrpt {
 
@@ -60,17 +61,11 @@ Endpoint parse_endpoint(const std::string& spec) {
                    "net: tcp endpoint is tcp:<host>:<port>: '" + spec + "'");
     ep.host = rest.substr(0, colon);
     const std::string port_text = rest.substr(colon + 1);
-    try {
-      std::size_t pos = 0;
-      const long port = std::stol(port_text, &pos);
-      BASRPT_REQUIRE(pos == port_text.size() && port > 0 && port <= 65535,
-                     "net: bad tcp port: '" + port_text + "'");
-      ep.port = static_cast<std::uint16_t>(port);
-    } catch (const ConfigError&) {
-      throw;
-    } catch (const std::exception&) {
-      throw ConfigError("net: bad tcp port: '" + port_text + "'");
-    }
+    std::int64_t port = 0;
+    BASRPT_REQUIRE(fields::parse_i64(port_text, &port) && port > 0 &&
+                       port <= 65535,
+                   "net: bad tcp port: '" + port_text + "'");
+    ep.port = static_cast<std::uint16_t>(port);
     return ep;
   }
   throw ConfigError(

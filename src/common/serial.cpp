@@ -60,13 +60,13 @@ std::string u64_to_hex(std::uint64_t value) {
   return out;
 }
 
-std::uint64_t u64_from_hex(const std::string& text) {
-  BASRPT_REQUIRE(text.size() == 16,
-                 "hex word must be exactly 16 digits: '" + text + "'");
+std::uint64_t u64_from_hex(std::string_view text) {
+  BASRPT_REQUIRE(text.size() == 16, "hex word must be exactly 16 digits: '" +
+                                        std::string(text) + "'");
   std::uint64_t value = 0;
   for (const char c : text) {
     const int d = hex_digit(c);
-    BASRPT_REQUIRE(d >= 0, "invalid hex digit in '" + text + "'");
+    BASRPT_REQUIRE(d >= 0, "invalid hex digit in '" + std::string(text) + "'");
     value = (value << 4) | static_cast<std::uint64_t>(d);
   }
   return value;
@@ -79,7 +79,7 @@ std::string f64_to_hex(double value) {
   return u64_to_hex(bits);
 }
 
-double f64_from_hex(const std::string& text) {
+double f64_from_hex(std::string_view text) {
   const std::uint64_t bits = u64_from_hex(text);
   double value = 0.0;
   std::memcpy(&value, &bits, sizeof(value));

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace basrpt {
 
@@ -26,7 +27,7 @@ std::string u64_to_hex(std::uint64_t value);
 
 /// Inverse of u64_to_hex. Throws ConfigError on anything that is not
 /// exactly 16 hex digits.
-std::uint64_t u64_from_hex(const std::string& text);
+std::uint64_t u64_from_hex(std::string_view text);
 
 /// The double's IEEE-754 bit image as 16 hex digits — total (NaN
 /// payloads, signed zeros, infinities all survive) and locale-proof,
@@ -34,6 +35,6 @@ std::uint64_t u64_from_hex(const std::string& text);
 std::string f64_to_hex(double value);
 
 /// Inverse of f64_to_hex. Throws ConfigError on malformed input.
-double f64_from_hex(const std::string& text);
+double f64_from_hex(std::string_view text);
 
 }  // namespace basrpt

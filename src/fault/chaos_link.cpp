@@ -14,6 +14,25 @@ namespace {
 /// promptly and backpressure propagates through the proxy.
 constexpr std::size_t kBufCap = 16 * 1024;
 
+/// Writes what is left of `out` to `fd` ahead of a link drop, giving a
+/// slow reader up to 2 s.
+void flush_before_drop(int fd, std::string& out) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!out.empty() && std::chrono::steady_clock::now() < deadline) {
+    const long put = write_some(fd, out.data(), out.size());
+    if (put == -EAGAIN || put == -EWOULDBLOCK) {
+      struct pollfd flush_fd = {fd, POLLOUT, 0};
+      poll_fds(&flush_fd, 1, 100);
+      continue;
+    }
+    if (put <= 0) {
+      break;
+    }
+    out.erase(0, static_cast<std::size_t>(put));
+  }
+}
+
 }  // namespace
 
 ChaosLink::ChaosLink(const ChaosLinkConfig& config) : config_(config) {
@@ -230,27 +249,14 @@ void ChaosLink::run() {
     const bool s2c_ok =
         c2s_ok && pump_direction(false, upstream.get(), client.get());
     if (!c2s_ok || !s2c_ok) {
-      // Link drop (scripted reset, EOF, or error). Flush any transformed
-      // server→client bytes first: the `complete` frame rides just ahead
-      // of the server's close and the client deserves to see it.
-      if (!out_buf_[1].empty() && client.valid()) {
-        const auto deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(2);
-        while (!out_buf_[1].empty() &&
-               std::chrono::steady_clock::now() < deadline) {
-          const long put = write_some(client.get(), out_buf_[1].data(),
-                                      out_buf_[1].size());
-          if (put == -EAGAIN || put == -EWOULDBLOCK) {
-            struct pollfd flush_fd = {client.get(), POLLOUT, 0};
-            poll_fds(&flush_fd, 1, 100);
-            continue;
-          }
-          if (put <= 0) {
-            break;
-          }
-          out_buf_[1].erase(0, static_cast<std::size_t>(put));
-        }
-      }
+      // Link drop (scripted reset, EOF, or error). Deliver the bytes
+      // already transformed first. Client→server, that is everything up
+      // to a reset's offset whatever the read chunking was, so the
+      // records the server keeps depend on the plan alone;
+      // server→client, the `complete` frame that rides just ahead of
+      // the server's close.
+      flush_before_drop(upstream.get(), out_buf_[0]);
+      flush_before_drop(client.get(), out_buf_[1]);
       client.reset();
       upstream.reset();
     }

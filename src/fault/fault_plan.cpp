@@ -1,13 +1,14 @@
 #include "fault/fault_plan.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "common/assert.hpp"
+#include "common/fields.hpp"
 #include "common/rng.hpp"
 
 namespace basrpt::fault {
@@ -17,68 +18,35 @@ namespace {
 constexpr const char* kHeader = "basrpt-faults-v1";
 constexpr const char* kContext = "fault plan";
 
-/// Parses a full-line-consumed finite double; rejects trailing garbage,
-/// overflow, and NaN/inf — std::stod alone accepts "1.5x" and throws
-/// std::out_of_range (not a logic_error) on "1e999".
-double parse_real(const std::string& cell, std::size_t line,
+double parse_real(std::string_view cell, std::size_t line,
                   const char* what) {
-  try {
-    std::size_t pos = 0;
-    const double value = std::stod(cell, &pos);
-    if (pos != cell.size() || !std::isfinite(value)) {
-      throw ParseError(kContext, line,
-                       std::string(what) + " is not a number: '" + cell + "'");
-    }
-    return value;
-  } catch (const ParseError&) {
-    throw;
-  } catch (const std::exception&) {
+  double value = 0.0;
+  if (!fields::parse_finite(cell, &value)) {
     throw ParseError(kContext, line,
-                     std::string(what) + " is not a number: '" + cell + "'");
+                     std::string(what) + " is not a number: '" +
+                         std::string(cell) + "'");
   }
+  return value;
 }
 
-std::int64_t parse_int(const std::string& cell, std::size_t line,
+std::int64_t parse_int(std::string_view cell, std::size_t line,
                        const char* what) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t value = std::stoll(cell, &pos);
-    if (pos != cell.size()) {
-      throw ParseError(kContext, line,
-                       std::string(what) + " is not an integer: '" + cell +
-                           "'");
-    }
-    return value;
-  } catch (const ParseError&) {
-    throw;
-  } catch (const std::exception&) {
+  std::int64_t value = 0;
+  if (!fields::parse_i64(cell, &value)) {
     throw ParseError(kContext, line,
-                     std::string(what) + " is not an integer: '" + cell +
-                         "'");
+                     std::string(what) + " is not an integer: '" +
+                         std::string(cell) + "'");
   }
+  return value;
 }
 
-std::vector<std::string> split_fields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string cell;
-  std::istringstream in(line);
-  while (std::getline(in, cell, ',')) {
-    fields.push_back(cell);
-  }
-  if (!line.empty() && line.back() == ',') {
-    fields.emplace_back();  // trailing comma == trailing empty field
-  }
-  return fields;
-}
-
-void require_fields(const std::vector<std::string>& fields,
-                    std::size_t expected, std::size_t line,
+void require_fields(std::size_t got, std::size_t expected, std::size_t line,
                     const char* kind) {
-  if (fields.size() != expected) {
+  if (got != expected) {
     throw ParseError(kContext, line,
                      std::string(kind) + " expects " +
                          std::to_string(expected - 1) + " arguments, got " +
-                         std::to_string(fields.size() - 1));
+                         std::to_string(got - 1));
   }
 }
 
@@ -186,85 +154,81 @@ double FaultPlan::span() const {
 }
 
 FaultPlan FaultPlan::parse(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line)) {
+  std::string raw;
+  if (!std::getline(in, raw)) {
     throw ParseError(kContext, 1, std::string("expected '") + kHeader + "'");
   }
-  if (!line.empty() && line.back() == '\r') {
-    line.pop_back();  // tolerate CRLF
-  }
-  if (line != kHeader) {
+  if (fields::strip_cr(raw) != kHeader) {
     throw ParseError(kContext, 1, std::string("expected '") + kHeader + "'");
   }
   FaultPlan plan;
   std::size_t line_no = 1;
   bool saw_newline_at_end = !in.eof();
-  while (std::getline(in, line)) {
+  while (std::getline(in, raw)) {
     ++line_no;
     // A file whose final line lacks the trailing newline was truncated
     // mid-write (the writer always terminates lines); reject it rather
     // than silently acting on a partial event.
     saw_newline_at_end = !in.eof();
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();  // tolerate CRLF
-    }
+    const std::string_view line = fields::strip_cr(raw);
     if (line.empty() || line[0] == '#') {
       continue;
     }
-    const auto fields = split_fields(line);
-    const std::string& kind = fields[0];
+    std::array<std::string_view, 5> cells;  // the longest event's count
+    const std::size_t n = fields::split(line, ',', cells);
+    const std::string_view kind = cells[0];
     FaultEvent event;
     if (kind == "degrade") {
-      require_fields(fields, 5, line_no, "degrade");
+      require_fields(n, 5, line_no, "degrade");
       event.kind = FaultKind::kDegrade;
-      event.start = parse_real(fields[1], line_no, "start");
-      event.duration = parse_real(fields[2], line_no, "duration");
+      event.start = parse_real(cells[1], line_no, "start");
+      event.duration = parse_real(cells[2], line_no, "duration");
       event.port =
-          static_cast<std::int32_t>(parse_int(fields[3], line_no, "port"));
-      event.factor = parse_real(fields[4], line_no, "factor");
+          static_cast<std::int32_t>(parse_int(cells[3], line_no, "port"));
+      event.factor = parse_real(cells[4], line_no, "factor");
     } else if (kind == "blackout") {
-      require_fields(fields, 4, line_no, "blackout");
+      require_fields(n, 4, line_no, "blackout");
       event.kind = FaultKind::kBlackout;
-      event.start = parse_real(fields[1], line_no, "start");
-      event.duration = parse_real(fields[2], line_no, "duration");
+      event.start = parse_real(cells[1], line_no, "start");
+      event.duration = parse_real(cells[2], line_no, "duration");
       event.port =
-          static_cast<std::int32_t>(parse_int(fields[3], line_no, "port"));
+          static_cast<std::int32_t>(parse_int(cells[3], line_no, "port"));
     } else if (kind == "drop-decisions") {
-      require_fields(fields, 3, line_no, "drop-decisions");
+      require_fields(n, 3, line_no, "drop-decisions");
       event.kind = FaultKind::kDropDecisions;
-      event.start = parse_real(fields[1], line_no, "start");
-      event.duration = parse_real(fields[2], line_no, "duration");
+      event.start = parse_real(cells[1], line_no, "start");
+      event.duration = parse_real(cells[2], line_no, "duration");
     } else if (kind == "rearrive") {
-      require_fields(fields, 3, line_no, "rearrive");
+      require_fields(n, 3, line_no, "rearrive");
       event.kind = FaultKind::kRearrival;
-      event.start = parse_real(fields[1], line_no, "start");
-      event.count = parse_int(fields[2], line_no, "count");
+      event.start = parse_real(cells[1], line_no, "start");
+      event.count = parse_int(cells[2], line_no, "count");
     } else if (kind == "link-reset") {
-      require_fields(fields, 2, line_no, "link-reset");
+      require_fields(n, 2, line_no, "link-reset");
       event.kind = FaultKind::kLinkReset;
-      event.start = parse_real(fields[1], line_no, "offset");
+      event.start = parse_real(cells[1], line_no, "offset");
     } else if (kind == "link-corrupt") {
-      require_fields(fields, 4, line_no, "link-corrupt");
+      require_fields(n, 4, line_no, "link-corrupt");
       event.kind = FaultKind::kLinkCorrupt;
       event.port = static_cast<std::int32_t>(
-          parse_int(fields[1], line_no, "direction"));
-      event.start = parse_real(fields[2], line_no, "offset");
-      event.count = parse_int(fields[3], line_no, "count");
+          parse_int(cells[1], line_no, "direction"));
+      event.start = parse_real(cells[2], line_no, "offset");
+      event.count = parse_int(cells[3], line_no, "count");
     } else if (kind == "link-stall") {
-      require_fields(fields, 4, line_no, "link-stall");
+      require_fields(n, 4, line_no, "link-stall");
       event.kind = FaultKind::kLinkStall;
       event.port = static_cast<std::int32_t>(
-          parse_int(fields[1], line_no, "direction"));
-      event.start = parse_real(fields[2], line_no, "offset");
-      event.duration = parse_real(fields[3], line_no, "seconds");
+          parse_int(cells[1], line_no, "direction"));
+      event.start = parse_real(cells[2], line_no, "offset");
+      event.duration = parse_real(cells[3], line_no, "seconds");
     } else if (kind == "link-dup") {
-      require_fields(fields, 3, line_no, "link-dup");
+      require_fields(n, 3, line_no, "link-dup");
       event.kind = FaultKind::kLinkDup;
-      event.start = parse_real(fields[1], line_no, "offset");
-      event.count = parse_int(fields[2], line_no, "count");
+      event.start = parse_real(cells[1], line_no, "offset");
+      event.count = parse_int(cells[2], line_no, "count");
     } else {
       throw ParseError(kContext, line_no,
-                       "unknown fault kind '" + kind + "'");
+                       "unknown fault kind '" + std::string(kind) + "'");
     }
     try {
       plan.add(event);

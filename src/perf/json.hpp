@@ -4,7 +4,7 @@
 // report and basrptd's SLO report are all built as Values and written by
 // one deterministic serializer, so escaping and number formatting live
 // in one place: integers print exactly, everything else with %.17g
-// (enough digits to round-trip through strtod). Object member order is
+// (enough digits for any reader to recover the exact double). Object member order is
 // insertion order. Reading records back is the regression gate's job
 // (scripts/perf_gate.py).
 #pragma once

@@ -1,10 +1,10 @@
 #include "sched/factory.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/fields.hpp"
 #include "sched/exact_basrpt.hpp"
 #include "sched/fast_basrpt.hpp"
 #include "sched/distributed_basrpt.hpp"
@@ -77,7 +77,8 @@ std::string format_real(double value) {
   char buf[64];
   for (const int precision : {6, 9, 17}) {
     std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) {
+    double parsed = 0.0;
+    if (fields::parse_finite(buf, &parsed) && parsed == value) {
       break;
     }
   }
@@ -85,10 +86,8 @@ std::string format_real(double value) {
 }
 
 double parse_real(const std::string& key, const std::string& value) {
-  const char* begin = value.c_str();
-  char* end = nullptr;
-  const double parsed = std::strtod(begin, &end);
-  if (value.empty() || end != begin + value.size()) {
+  double parsed = 0.0;
+  if (!fields::parse_finite(value, &parsed)) {
     throw ConfigError("scheduler spec: '" + key + "' needs a number, got '" +
                       value + "'");
   }
@@ -96,10 +95,8 @@ double parse_real(const std::string& key, const std::string& value) {
 }
 
 std::int64_t parse_int(const std::string& key, const std::string& value) {
-  const char* begin = value.c_str();
-  char* end = nullptr;
-  const long long parsed = std::strtoll(begin, &end, 10);
-  if (value.empty() || end != begin + value.size()) {
+  std::int64_t parsed = 0;
+  if (!fields::parse_i64(value, &parsed)) {
     throw ConfigError("scheduler spec: '" + key + "' needs an integer, got '" +
                       value + "'");
   }

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "common/assert.hpp"
+#include "common/fields.hpp"
 #include "srv/wire.hpp"
 
 namespace basrpt::srv {
@@ -99,12 +100,10 @@ ClientResult Client::run(const std::vector<FeedRecord>& records) {
           if (nl == std::string::npos) {
             break;
           }
-          std::string line = inbuf.substr(pos, nl - pos);
+          const std::string_view line =
+              fields::strip_cr(std::string_view(inbuf).substr(pos, nl - pos));
           pos = nl + 1;
           ++in_lines;
-          if (!line.empty() && line.back() == '\r') {
-            line.pop_back();
-          }
           if (!header_seen) {
             if (line != kDecisionsMagic) {
               drop_link = true;  // not our protocol: reconnect
@@ -117,8 +116,16 @@ ClientResult Client::run(const std::vector<FeedRecord>& records) {
           try {
             msg = parse_decision_line(line, in_lines);
           } catch (const ParseError&) {
-            drop_link = true;  // corrupted frame: reconnect, replay
-            break;
+            if (!hello_seen) {
+              drop_link = true;  // no cursor yet: reconnect for a clean hello
+              break;
+            }
+            // A garbled frame is lost either way (decisions are never
+            // resent) and '\n' framing resynchronises on the next line.
+            // Dropping the link would also drop the frames behind it —
+            // the `complete` of a server that is just finishing included.
+            ++result.corrupt_frames;
+            continue;
           }
           switch (msg.kind) {
             case DecisionMsg::Kind::kHello: {

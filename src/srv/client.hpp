@@ -12,8 +12,12 @@
 //    dropped by sequence number; gaps are tolerated (frames lost with a
 //    dead connection are not re-sent — the sequence is the dedupe key,
 //    not a completeness promise);
-//  * garbage on the decisions stream / an `error` fence → treated as a
-//    dead connection, reconnect and replay.
+//  * a garbled frame after the hello → counted and skipped: it is lost
+//    either way, and '\n' framing resynchronises on the next line (a
+//    reconnect would also lose the frames behind it, `complete`
+//    included, if the server was just finishing);
+//  * a garbled header or hello, or an `error` fence → treated as a dead
+//    connection, reconnect and replay.
 //
 // Each outage (the stretch from noticing a dead link to a completed
 // handshake) is bounded by reconnect_deadline_sec; exceeding it throws
@@ -51,6 +55,7 @@ struct ClientResult {
   std::int64_t shed = 0;
   std::int64_t reconnects = 0;  // dials after the first successful one
   std::int64_t fences = 0;      // `error` frames received
+  std::int64_t corrupt_frames = 0;  // garbled frames skipped
 };
 
 class Client {

@@ -1,6 +1,7 @@
 #include "srv/connection.hpp"
 
 #include "common/assert.hpp"
+#include "common/fields.hpp"
 #include "srv/wire.hpp"
 
 namespace basrpt::srv {
@@ -27,7 +28,8 @@ void Connection::on_bytes(const char* data, std::size_t n, double now) {
     if (nl == std::string::npos) {
       break;
     }
-    const std::string line = recv_buf_.substr(pos, nl - pos);
+    const std::string_view line =
+        std::string_view(recv_buf_).substr(pos, nl - pos);
     const std::uint64_t line_offset = consumed_ofs_;
     consumed_ofs_ += (nl - pos) + 1;
     pos = nl + 1;
@@ -43,14 +45,10 @@ void Connection::on_bytes(const char* data, std::size_t n, double now) {
   }
 }
 
-void Connection::parse_line(const std::string& raw, std::uint64_t byte_offset,
+void Connection::parse_line(std::string_view raw, std::uint64_t byte_offset,
                             double now) {
   if (!header_seen_) {
-    std::string line = raw;
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();  // tolerate CRLF
-    }
-    if (line != kFeedMagic) {
+    if (fields::strip_cr(raw) != kFeedMagic) {
       fence(line_no_, byte_offset,
             std::string("expected '") + kFeedMagic + "'", now);
       return;

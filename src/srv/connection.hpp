@@ -111,7 +111,7 @@ class Connection {
     std::string bytes;
   };
 
-  void parse_line(const std::string& line, std::uint64_t byte_offset,
+  void parse_line(std::string_view line, std::uint64_t byte_offset,
                   double now);
   void fence(std::size_t line_no, std::uint64_t byte_offset,
              const std::string& reason, double now);

@@ -1,148 +1,95 @@
 #include "srv/feed.hpp"
 
+#include <array>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "common/assert.hpp"
+#include "common/fields.hpp"
 
 namespace basrpt::srv {
 
 namespace {
 
-char class_tag(stats::FlowClass cls) {
-  return cls == stats::FlowClass::kQuery ? 'q' : 'b';
+[[noreturn]] void fail(std::size_t line_no, const std::string& what) {
+  throw ParseError(kFeedParseContext, line_no, what);
 }
 
-stats::FlowClass parse_class(const std::string& tag, std::size_t line) {
-  if (tag == "q") {
-    return stats::FlowClass::kQuery;
-  }
-  if (tag == "b") {
-    return stats::FlowClass::kBackground;
-  }
-  throw ParseError(kFeedParseContext, line,
-                   "unknown flow class '" + tag + "'");
-}
-
-/// Full-consumption finite double; overflow ("1e999") and trailing
-/// garbage are rejected, not wrapped (see workload/trace_io.cpp for the
-/// rationale — std::stod's out_of_range is a runtime_error and would
-/// otherwise escape as an unlabelled crash).
-double parse_real(const std::string& cell, std::size_t line,
+double parse_real(std::string_view cell, std::size_t line_no,
                   const char* what) {
-  try {
-    std::size_t pos = 0;
-    const double value = std::stod(cell, &pos);
-    if (pos != cell.size() || !std::isfinite(value)) {
-      throw ParseError(kFeedParseContext, line,
-                       std::string(what) + " is not a number: '" + cell +
-                           "'");
-    }
-    return value;
-  } catch (const ParseError&) {
-    throw;
-  } catch (const std::exception&) {
-    throw ParseError(kFeedParseContext, line,
-                     std::string(what) + " is not a number: '" + cell + "'");
+  double value = 0.0;
+  if (!fields::parse_finite(cell, &value)) {
+    fail(line_no, std::string(what) + " is not a number: '" +
+                      std::string(cell) + "'");
   }
+  return value;
 }
 
-std::int64_t parse_int(const std::string& cell, std::size_t line,
+std::int64_t parse_int(std::string_view cell, std::size_t line_no,
                        const char* what) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t value = std::stoll(cell, &pos);
-    if (pos != cell.size()) {
-      throw ParseError(kFeedParseContext, line,
-                       std::string(what) + " is not an integer: '" + cell +
-                           "'");
-    }
-    return value;
-  } catch (const ParseError&) {
-    throw;
-  } catch (const std::exception&) {
-    throw ParseError(kFeedParseContext, line,
-                     std::string(what) + " is not an integer: '" + cell +
-                         "'");
+  std::int64_t value = 0;
+  if (!fields::parse_i64(cell, &value)) {
+    fail(line_no, std::string(what) + " is not an integer: '" +
+                      std::string(cell) + "'");
   }
-}
-
-std::vector<std::string> split_fields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::istringstream cells(line);
-  std::string cell;
-  while (std::getline(cells, cell, ',')) {
-    fields.push_back(cell);
-  }
-  if (!line.empty() && line.back() == ',') {
-    fields.emplace_back();  // trailing comma == trailing empty field
-  }
-  return fields;
+  return value;
 }
 
 }  // namespace
 
-FeedLineKind parse_feed_line(const std::string& raw, std::size_t line_no,
+FeedLineKind parse_feed_line(std::string_view raw, std::size_t line_no,
                              double last_time, FeedRecord* out) {
-  std::string line = raw;
-  if (!line.empty() && line.back() == '\r') {
-    line.pop_back();  // tolerate CRLF
-  }
+  const std::string_view line = fields::strip_cr(raw);
   if (line.empty() || line[0] == '#') {
     return FeedLineKind::kBlank;
   }
   if (line == "end") {
     return FeedLineKind::kEnd;
   }
-  const std::vector<std::string> fields = split_fields(line);
-  if (fields.empty() || fields[0] != "flow") {
-    throw ParseError(kFeedParseContext, line_no,
-                     "expected a 'flow,...' record or 'end', got '" +
-                         line.substr(0, 32) + "'");
+  std::array<std::string_view, 7> cells;
+  const std::size_t n = fields::split(line, ',', cells);
+  if (cells[0] != "flow") {
+    fail(line_no, "expected a 'flow,...' record or 'end', got '" +
+                      std::string(line.substr(0, 32)) + "'");
   }
-  if (fields.size() != 6 && fields.size() != 7) {
-    throw ParseError(
-        kFeedParseContext, line_no,
-        "expected flow,time,src,dst,size,class[,tenant]; got " +
-            std::to_string(fields.size()) + " fields");
+  if (n != 6 && n != 7) {
+    fail(line_no, "expected flow,time,src,dst,size,class[,tenant]; got " +
+                      std::to_string(n) + " fields");
   }
   FeedRecord rec;
-  rec.arrival.time = SimTime{parse_real(fields[1], line_no, "time")};
+  rec.arrival.time = SimTime{parse_real(cells[1], line_no, "time")};
   rec.arrival.src =
-      static_cast<workload::PortId>(parse_int(fields[2], line_no, "src"));
+      static_cast<workload::PortId>(parse_int(cells[2], line_no, "src"));
   rec.arrival.dst =
-      static_cast<workload::PortId>(parse_int(fields[3], line_no, "dst"));
-  rec.arrival.size = Bytes{parse_int(fields[4], line_no, "size")};
-  rec.arrival.cls = parse_class(fields[5], line_no);
-  if (fields.size() == 7) {
-    const std::int64_t tenant = parse_int(fields[6], line_no, "tenant");
+      static_cast<workload::PortId>(parse_int(cells[3], line_no, "dst"));
+  rec.arrival.size = Bytes{parse_int(cells[4], line_no, "size")};
+  if (!fields::parse_class(cells[5], &rec.arrival.cls)) {
+    fail(line_no, "unknown flow class '" + std::string(cells[5]) + "'");
+  }
+  if (n == 7) {
+    const std::int64_t tenant = parse_int(cells[6], line_no, "tenant");
     if (tenant < 0 || tenant > INT32_MAX) {
-      throw ParseError(kFeedParseContext, line_no,
-                       "tenant out of range: '" + fields[6] + "'");
+      fail(line_no, "tenant out of range: '" + std::string(cells[6]) + "'");
     }
     rec.tenant = static_cast<std::int32_t>(tenant);
   }
   if (rec.arrival.time.seconds < 0.0) {
-    throw ParseError(kFeedParseContext, line_no, "time must be non-negative");
+    fail(line_no, "time must be non-negative");
   }
   if (rec.arrival.time.seconds < last_time) {
-    throw ParseError(kFeedParseContext, line_no,
-                     "times must be non-decreasing");
+    fail(line_no, "times must be non-decreasing");
   }
   if (rec.arrival.src < 0 || rec.arrival.dst < 0) {
-    throw ParseError(kFeedParseContext, line_no,
-                     "ports must be non-negative");
+    fail(line_no, "ports must be non-negative");
   }
   if (rec.arrival.src == rec.arrival.dst) {
-    throw ParseError(kFeedParseContext, line_no, "src and dst must differ");
+    fail(line_no, "src and dst must differ");
   }
   if (rec.arrival.size.count <= 0) {
-    throw ParseError(kFeedParseContext, line_no, "size must be positive");
+    fail(line_no, "size must be positive");
   }
   *out = rec;
   return FeedLineKind::kRecord;
@@ -155,7 +102,7 @@ std::string encode_feed_record(const FeedRecord& record) {
   std::snprintf(buf, sizeof(buf), "flow,%.17g,%d,%d,%" PRId64 ",%c,%d\n",
                 record.arrival.time.seconds, record.arrival.src,
                 record.arrival.dst, record.arrival.size.count,
-                class_tag(record.arrival.cls), record.tenant);
+                fields::class_tag(record.arrival.cls), record.tenant);
   return std::string(buf);
 }
 
@@ -175,10 +122,7 @@ void FeedReader::read_header() {
   }
   // A torn header (no trailing newline) is accepted when the content
   // matches: historic behaviour for one-line hand-written feeds.
-  if (!line.empty() && line.back() == '\r') {
-    line.pop_back();  // tolerate CRLF
-  }
-  if (line != kFeedMagic) {
+  if (fields::strip_cr(line) != kFeedMagic) {
     throw ParseError(kFeedParseContext, 1,
                      std::string("expected '") + kFeedMagic + "'");
   }
@@ -188,9 +132,8 @@ std::optional<FeedRecord> FeedReader::next() {
   if (done_) {
     return std::nullopt;
   }
-  std::string line;
   for (;;) {
-    const LineStatus st = lines_->next_line(line);
+    const LineStatus st = lines_->next_line(line_);
     if (st == LineStatus::kEof) {
       // Bare EOF: the producer went away without the `end` sentinel.
       // The server drains; a strict batch loader may reject via
@@ -207,7 +150,7 @@ std::optional<FeedRecord> FeedReader::next() {
                        "feed truncated (no trailing newline)");
     }
     FeedRecord rec;
-    switch (parse_feed_line(line, line_no_, last_time_, &rec)) {
+    switch (parse_feed_line(line_, line_no_, last_time_, &rec)) {
       case FeedLineKind::kBlank:
         continue;
       case FeedLineKind::kEnd:

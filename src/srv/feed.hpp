@@ -1,7 +1,8 @@
-// basrpt-feed-v1: the versioned line format of the online arrival feed.
+// basrpt-feed-v1: the versioned line format of every arrival stream.
 //
-// basrptd's ingest is a text stream — replayed from a trace file, piped
-// in from a generator, or framed over a socket — one record per line:
+// basrptd's ingest is a text stream — replayed from a recorded file,
+// piped in from a generator, or framed over a socket — one record per
+// line:
 //
 //   basrpt-feed-v1
 //   # flow,time_s,src,dst,size_bytes,class[,tenant]
@@ -9,21 +10,26 @@
 //   flow,0.00031,4,5,1048576,b,1
 //   end
 //
-// `class` is `q` (query) or `b` (background), as in basrpt-trace-v1.
-// `tenant` is an optional non-negative id used by admission control and
-// per-tenant shed accounting; absent means tenant 0. The `end` sentinel
-// marks a cleanly terminated feed; EOF without it means the producer went
-// away (pipe closed) — the server treats that as "stop admitting and
-// drain", not as an error. A final line with no trailing newline is a
-// torn write and raises ParseError, per the src/workload trace-io
-// conventions (CRLF tolerated, 1-based line numbers in every error,
-// overflowing numbers rejected rather than wrapped).
+// The same format records a simulator workload so it can be replayed
+// byte-for-byte across schedulers, commits and machines
+// (examples/trace_workflow.cpp): %.17g times parse back to the same bits.
+//
+// `class` is `q` (query) or `b` (background). `tenant` is an optional
+// non-negative id used by admission control and per-tenant shed
+// accounting; absent means tenant 0. The `end` sentinel marks a cleanly
+// terminated feed; EOF without it means the producer went away (pipe
+// closed) — the server treats that as "stop admitting and drain", not as
+// an error. A final line with no trailing newline is a torn write and
+// raises ParseError. CRLF is tolerated, every error carries its 1-based
+// line number, and numbers go through common/fields.hpp, so overflowing
+// or non-finite values are rejected rather than wrapped.
 //
 // FeedReader is incremental — next() reads one line — so it works
 // unbuffered off a pipe; nothing about it assumes the feed is finite.
 // The per-line grammar is exposed as parse_feed_line() so the socket
 // transport's connection state machine (srv/connection.hpp) validates
-// frames with exactly the same rules and error text.
+// frames with exactly the same rules and error text. Neither allocates
+// per record.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +37,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/io.hpp"
@@ -113,7 +120,7 @@ enum class FeedLineKind {
 /// used in error text; `last_time` is the previous record's time for
 /// the non-decreasing check. Throws ParseError on any malformed
 /// construct. The header line is NOT handled here.
-FeedLineKind parse_feed_line(const std::string& line, std::size_t line_no,
+FeedLineKind parse_feed_line(std::string_view line, std::size_t line_no,
                              double last_time, FeedRecord* out);
 
 /// One `flow,...\n` line for `record`, exactly as FeedWriter emits it
@@ -154,6 +161,7 @@ class FeedReader : public RecordSource {
 
   std::unique_ptr<IstreamLineSource> owned_;  // istream ctor only
   LineSource* lines_;
+  std::string line_;  // reused: steady-state next() does not allocate
   std::size_t line_no_ = 1;
   std::size_t records_ = 0;
   double last_time_ = 0.0;

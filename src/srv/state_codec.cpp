@@ -1,8 +1,12 @@
 #include "srv/state_codec.hpp"
 
+#include <array>
+#include <cstdint>
 #include <sstream>
+#include <string_view>
 
 #include "ckpt/stats_codec.hpp"
+#include "common/fields.hpp"
 #include "common/serial.hpp"
 
 namespace basrpt::srv {
@@ -18,18 +22,38 @@ constexpr const char* kFaultSection = "fault";
 constexpr const char* kSloSection = "slo";
 constexpr const char* kHealthSection = "health";
 
-const char* class_name(stats::FlowClass cls) {
-  return cls == stats::FlowClass::kQuery ? "q" : "b";
+/// The cells of the next `<tag> ...` payload row of `what`, split at
+/// blanks into exactly N cells (tag included). With `free_text_last`,
+/// the last cell may be missing (then empty) or keep further blanks.
+template <std::size_t N>
+std::array<std::string_view, N> row(ckpt::SectionReader& in, const char* what,
+                                    std::string_view tag,
+                                    bool free_text_last = false) {
+  std::array<std::string_view, N> cells;
+  const std::size_t n = fields::split(in.next(what), ' ', cells);
+  const bool sized = free_text_last ? n + 1 >= N : n == N;
+  if (!sized || cells[0] != tag) {
+    in.fail(std::string("malformed ") + what);
+  }
+  return cells;
 }
 
-stats::FlowClass class_of(const std::string& tag, ckpt::SectionReader& in) {
-  if (tag == "q") {
-    return stats::FlowClass::kQuery;
+std::int64_t int_cell(ckpt::SectionReader& in, std::string_view cell,
+                      const char* what) {
+  std::int64_t value = 0;
+  if (!fields::parse_i64(cell, &value)) {
+    in.fail(std::string("malformed ") + what);
   }
-  if (tag == "b") {
-    return stats::FlowClass::kBackground;
+  return value;
+}
+
+std::int32_t int32_cell(ckpt::SectionReader& in, std::string_view cell,
+                        const char* what) {
+  const std::int64_t value = int_cell(in, cell, what);
+  if (value < INT32_MIN || value > INT32_MAX) {
+    in.fail(std::string("malformed ") + what);
   }
-  in.fail("unknown flow class '" + tag + "'");
+  return static_cast<std::int32_t>(value);
 }
 
 HealthState health_state_of(std::uint64_t raw, ckpt::SectionReader& in) {
@@ -51,18 +75,12 @@ void write_tenant_counts(ckpt::SnapshotWriter::Section& out, const char* key,
 
 std::map<std::int32_t, std::int64_t> read_tenant_counts(
     ckpt::SectionReader& in, const char* key) {
-  const std::uint64_t n = in.u64(key);
+  const std::size_t n = in.count(key, 1);
   std::map<std::int32_t, std::int64_t> counts;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::istringstream line(in.next("tenant count"));
-    std::string tag;
-    std::int32_t tenant = 0;
-    std::int64_t count = 0;
-    line >> tag >> tenant >> count;
-    if (line.fail() || tag != "t") {
-      in.fail("malformed tenant count row");
-    }
-    counts[tenant] = count;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto cells = row<3>(in, "tenant count row", "t");
+    counts[int32_cell(in, cells[1], "tenant count row")] =
+        int_cell(in, cells[2], "tenant count row");
   }
   return counts;
 }
@@ -100,7 +118,7 @@ std::string encode_server_ckpt(const ServerCkpt& state) {
     std::ostringstream line;
     line << "f " << f.id << " " << f.src << " " << f.dst << " "
          << f.size.count << " " << f.remaining.count << " "
-         << f64_to_hex(f.arrival.seconds) << " " << class_name(f.cls);
+         << f64_to_hex(f.arrival.seconds) << " " << fields::class_tag(f.cls);
     flows.line(line.str());
   }
 
@@ -173,36 +191,32 @@ ServerCkpt decode_server_ckpt(const ckpt::Snapshot& snapshot) {
     state.sim.lifecycle.flows_completed = in.i64("flows_completed");
     state.sim.lifecycle.flows_requeued = in.i64("flows_requeued");
     state.sim.lifecycle.bytes_arrived = Bytes{in.i64("bytes_arrived")};
-    const std::uint64_t selected = in.u64("prev_selected");
+    const std::size_t selected = in.count("prev_selected", 1);
     state.sim.lifecycle.prev_selected.reserve(selected);
-    for (std::uint64_t i = 0; i < selected; ++i) {
-      std::istringstream line(in.next("selected flow id"));
-      std::string tag;
-      queueing::FlowId id = queueing::kInvalidFlow;
-      line >> tag >> id;
-      if (line.fail() || tag != "s") {
-        in.fail("malformed prev_selected row");
-      }
-      state.sim.lifecycle.prev_selected.push_back(id);
+    for (std::size_t i = 0; i < selected; ++i) {
+      const auto cells = row<2>(in, "prev_selected row", "s");
+      state.sim.lifecycle.prev_selected.push_back(
+          int_cell(in, cells[1], "prev_selected row"));
     }
     in.expect_done();
   }
 
   {
     ckpt::SectionReader in = snapshot.reader(kFlowsSection);
-    const std::uint64_t count = in.u64("count");
+    const std::size_t count = in.count("count", 1);
     state.sim.flows.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::istringstream line(in.next("flow row"));
-      std::string tag, arrival_hex, cls_tag;
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto cells = row<8>(in, "flow row", "f");
       queueing::Flow f;
-      line >> tag >> f.id >> f.src >> f.dst >> f.size.count >>
-          f.remaining.count >> arrival_hex >> cls_tag;
-      if (line.fail() || tag != "f") {
-        in.fail("malformed flow row");
+      f.id = int_cell(in, cells[1], "flow row");
+      f.src = int32_cell(in, cells[2], "flow row");
+      f.dst = int32_cell(in, cells[3], "flow row");
+      f.size.count = int_cell(in, cells[4], "flow row");
+      f.remaining.count = int_cell(in, cells[5], "flow row");
+      f.arrival = SimTime{f64_from_hex(cells[6])};
+      if (!fields::parse_class(cells[7], &f.cls)) {
+        in.fail("unknown flow class '" + std::string(cells[7]) + "'");
       }
-      f.arrival = SimTime{f64_from_hex(arrival_hex)};
-      f.cls = class_of(cls_tag, in);
       if (f.size.count <= 0 || f.remaining.count <= 0 ||
           f.remaining.count > f.size.count) {
         in.fail("implausible flow sizes in flow row");
@@ -214,16 +228,11 @@ ServerCkpt decode_server_ckpt(const ckpt::Snapshot& snapshot) {
 
   {
     ckpt::SectionReader in = snapshot.reader(kSchedulerSection);
-    const std::uint64_t words = in.u64("words");
+    const std::size_t words = in.count("words", 1);
     state.sim.scheduler_state.reserve(words);
-    for (std::uint64_t i = 0; i < words; ++i) {
-      std::istringstream line(in.next("scheduler word"));
-      std::string tag, hex;
-      line >> tag >> hex;
-      if (line.fail() || tag != "w") {
-        in.fail("malformed scheduler word row");
-      }
-      state.sim.scheduler_state.push_back(u64_from_hex(hex));
+    for (std::size_t i = 0; i < words; ++i) {
+      const auto cells = row<2>(in, "scheduler word row", "w");
+      state.sim.scheduler_state.push_back(u64_from_hex(cells[1]));
     }
     in.expect_done();
   }
@@ -264,26 +273,22 @@ ServerCkpt decode_server_ckpt(const ckpt::Snapshot& snapshot) {
     state.health.below_exit_valid = in.u64("below_exit_valid") != 0;
     state.health.degraded_clear_valid = in.u64("degraded_clear_valid") != 0;
     state.health.shed_entries = in.i64("shed_entries");
-    const std::uint64_t transitions = in.u64("transitions");
+    const std::size_t transitions = in.count("transitions", 1);
     state.health.transitions.reserve(transitions);
-    for (std::uint64_t i = 0; i < transitions; ++i) {
-      const std::string& raw = in.next("health transition row");
-      std::istringstream line(raw);
-      std::string tag, time_hex;
-      int from = 0;
-      int to = 0;
-      line >> tag >> time_hex >> from >> to;
-      if (line.fail() || tag != "x") {
-        in.fail("malformed health transition row");
-      }
+    for (std::size_t i = 0; i < transitions; ++i) {
+      const auto cells = row<5>(in, "health transition row", "x",
+                                /*free_text_last=*/true);
       HealthTransition t;
-      t.time_sec = f64_from_hex(time_hex);
-      t.from = health_state_of(static_cast<std::uint64_t>(from), in);
-      t.to = health_state_of(static_cast<std::uint64_t>(to), in);
-      std::getline(line, t.reason);
-      if (!t.reason.empty() && t.reason.front() == ' ') {
-        t.reason.erase(0, 1);
-      }
+      t.time_sec = f64_from_hex(cells[1]);
+      t.from = health_state_of(
+          static_cast<std::uint64_t>(
+              int_cell(in, cells[2], "health transition row")),
+          in);
+      t.to = health_state_of(
+          static_cast<std::uint64_t>(
+              int_cell(in, cells[3], "health transition row")),
+          in);
+      t.reason = std::string(cells[4]);
       state.health.transitions.push_back(t);
     }
     in.expect_done();

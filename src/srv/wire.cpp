@@ -1,73 +1,41 @@
 #include "srv/wire.hpp"
 
+#include <array>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
-#include <vector>
 
 #include "common/assert.hpp"
+#include "common/fields.hpp"
 
 namespace basrpt::srv {
 
 namespace {
 
-std::uint64_t parse_u64(const std::string& cell, std::size_t line,
+[[noreturn]] void fail(std::size_t line_no, const std::string& what) {
+  throw ParseError(kDecisionsParseContext, line_no, what);
+}
+
+std::uint64_t parse_u64(std::string_view cell, std::size_t line_no,
                         const char* what) {
   if (cell.empty()) {
-    throw ParseError(kDecisionsParseContext, line,
-                     std::string(what) + " is empty");
+    fail(line_no, std::string(what) + " is empty");
   }
   std::uint64_t value = 0;
-  for (const char c : cell) {
-    if (c < '0' || c > '9') {
-      throw ParseError(kDecisionsParseContext, line,
-                       std::string(what) + " is not a non-negative integer: '" +
-                           cell + "'");
-    }
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) {
-      throw ParseError(kDecisionsParseContext, line,
-                       std::string(what) + " overflows: '" + cell + "'");
-    }
-    value = value * 10 + digit;
+  if (!fields::parse_u64(cell, &value)) {
+    fail(line_no, std::string(what) + " is not a non-negative integer: '" +
+                      std::string(cell) + "'");
   }
   return value;
 }
 
-double parse_real(const std::string& cell, std::size_t line,
+double parse_real(std::string_view cell, std::size_t line_no,
                   const char* what) {
-  try {
-    std::size_t pos = 0;
-    const double value = std::stod(cell, &pos);
-    if (pos != cell.size() || !std::isfinite(value)) {
-      throw ParseError(kDecisionsParseContext, line,
-                       std::string(what) + " is not a number: '" + cell + "'");
-    }
-    return value;
-  } catch (const ParseError&) {
-    throw;
-  } catch (const std::exception&) {
-    throw ParseError(kDecisionsParseContext, line,
-                     std::string(what) + " is not a number: '" + cell + "'");
+  double value = 0.0;
+  if (!fields::parse_finite(cell, &value)) {
+    fail(line_no, std::string(what) + " is not a number: '" +
+                      std::string(cell) + "'");
   }
-}
-
-/// Splits into at most `max_fields` cells; the last cell keeps any
-/// remaining commas (error reasons are free text).
-std::vector<std::string> split_limited(const std::string& line,
-                                       std::size_t max_fields) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  while (fields.size() + 1 < max_fields) {
-    const std::size_t comma = line.find(',', start);
-    if (comma == std::string::npos) {
-      break;
-    }
-    fields.push_back(line.substr(start, comma - start));
-    start = comma + 1;
-  }
-  fields.push_back(line.substr(start));
-  return fields;
+  return value;
 }
 
 }  // namespace
@@ -100,75 +68,63 @@ std::string encode_error(std::uint64_t line, std::uint64_t byte_offset,
   return std::string(buf) + reason + "\n";
 }
 
-DecisionMsg parse_decision_line(const std::string& raw, std::size_t line_no) {
-  std::string line = raw;
-  if (!line.empty() && line.back() == '\r') {
-    line.pop_back();  // tolerate CRLF
-  }
+DecisionMsg parse_decision_line(std::string_view raw, std::size_t line_no) {
+  const std::string_view line = fields::strip_cr(raw);
+  const std::string_view verb = line.substr(0, line.find(','));
+  // Each frame splits into exactly its cell count; the last cell keeps
+  // any further commas (error reasons and statuses are free text).
+  std::array<std::string_view, 5> cells;
   DecisionMsg msg;
-  const std::size_t comma = line.find(',');
-  const std::string verb = line.substr(0, comma);
   if (verb == "hello") {
-    const auto fields = split_limited(line, 2);
-    if (fields.size() != 2) {
-      throw ParseError(kDecisionsParseContext, line_no,
-                       "expected hello,<cursor>");
+    if (fields::split(line, ',', cells.data(), 2) < 2) {
+      fail(line_no, "expected hello,<cursor>");
     }
     msg.kind = DecisionMsg::Kind::kHello;
-    msg.cursor = parse_u64(fields[1], line_no, "cursor");
+    msg.cursor = parse_u64(cells[1], line_no, "cursor");
     return msg;
   }
   if (verb == "decision") {
-    const auto fields = split_limited(line, 5);
-    if (fields.size() != 5) {
-      throw ParseError(kDecisionsParseContext, line_no,
-                       "expected decision,<seq>,<time>,<a|s>,<tenant>");
+    if (fields::split(line, ',', cells) < 5) {
+      fail(line_no, "expected decision,<seq>,<time>,<a|s>,<tenant>");
     }
     msg.kind = DecisionMsg::Kind::kDecision;
-    msg.decision.seq = parse_u64(fields[1], line_no, "seq");
-    msg.decision.time_s = parse_real(fields[2], line_no, "time");
-    if (fields[3] == "a") {
+    msg.decision.seq = parse_u64(cells[1], line_no, "seq");
+    msg.decision.time_s = parse_real(cells[2], line_no, "time");
+    if (cells[3] == "a") {
       msg.decision.admitted = true;
-    } else if (fields[3] == "s") {
+    } else if (cells[3] == "s") {
       msg.decision.admitted = false;
     } else {
-      throw ParseError(kDecisionsParseContext, line_no,
-                       "decision verdict must be 'a' or 's', got '" +
-                           fields[3] + "'");
+      fail(line_no, "decision verdict must be 'a' or 's', got '" +
+                        std::string(cells[3]) + "'");
     }
-    const std::uint64_t tenant = parse_u64(fields[4], line_no, "tenant");
+    const std::uint64_t tenant = parse_u64(cells[4], line_no, "tenant");
     if (tenant > INT32_MAX) {
-      throw ParseError(kDecisionsParseContext, line_no,
-                       "tenant out of range: '" + fields[4] + "'");
+      fail(line_no, "tenant out of range: '" + std::string(cells[4]) + "'");
     }
     msg.decision.tenant = static_cast<std::int32_t>(tenant);
     return msg;
   }
   if (verb == "complete") {
-    const auto fields = split_limited(line, 3);
-    if (fields.size() != 3 || fields[2].empty()) {
-      throw ParseError(kDecisionsParseContext, line_no,
-                       "expected complete,<seq>,<status>");
+    if (fields::split(line, ',', cells.data(), 3) < 3 || cells[2].empty()) {
+      fail(line_no, "expected complete,<seq>,<status>");
     }
     msg.kind = DecisionMsg::Kind::kComplete;
-    msg.seq = parse_u64(fields[1], line_no, "seq");
-    msg.status = fields[2];
+    msg.seq = parse_u64(cells[1], line_no, "seq");
+    msg.status = std::string(cells[2]);
     return msg;
   }
   if (verb == "error") {
-    const auto fields = split_limited(line, 4);
-    if (fields.size() != 4) {
-      throw ParseError(kDecisionsParseContext, line_no,
-                       "expected error,<line>,<offset>,<reason>");
+    if (fields::split(line, ',', cells.data(), 4) < 4) {
+      fail(line_no, "expected error,<line>,<offset>,<reason>");
     }
     msg.kind = DecisionMsg::Kind::kError;
-    msg.line = parse_u64(fields[1], line_no, "line");
-    msg.offset = parse_u64(fields[2], line_no, "offset");
-    msg.reason = fields[3];
+    msg.line = parse_u64(cells[1], line_no, "line");
+    msg.offset = parse_u64(cells[2], line_no, "offset");
+    msg.reason = std::string(cells[3]);
     return msg;
   }
-  throw ParseError(kDecisionsParseContext, line_no,
-                   "unknown frame '" + verb.substr(0, 32) + "'");
+  fail(line_no, "unknown frame '" + std::string(verb.substr(0, 32)) + "'");
 }
 
 }  // namespace basrpt::srv

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "srv/feed.hpp"
 
@@ -61,8 +62,8 @@ std::string encode_error(std::uint64_t line, std::uint64_t byte_offset,
 
 /// Parses one frame line (header excluded). `line_no` is the 1-based
 /// position in the decisions stream, used in error text. Throws
-/// ParseError on malformed frames — the client treats that as a dead
-/// connection and reconnects.
-DecisionMsg parse_decision_line(const std::string& line, std::size_t line_no);
+/// ParseError on malformed frames — the client reconnects when that is
+/// the hello and skips the frame after it (srv/client.hpp).
+DecisionMsg parse_decision_line(std::string_view line, std::size_t line_no);
 
 }  // namespace basrpt::srv

@@ -1,13 +1,20 @@
-// Unit tests for src/common: units, assertions, RNG, CLI parsing.
+// Unit tests for src/common: units, assertions, RNG, CLI parsing, and
+// the text field layer.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <string_view>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/cli.hpp"
+#include "common/fields.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "stats/fct.hpp"
 
 namespace basrpt {
 namespace {
@@ -150,6 +157,149 @@ TEST(Rng, BernoulliFrequencyMatchesP) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
+// ----------------------------------------------------------------- fields
+
+TEST(Fields, EveryHelperAgainstItsTable) {
+  // Each row is one cell. "was" marks inputs whose acceptance changed
+  // when the std::stod/stoll/stoull/strtod copies became this layer.
+  struct Real {
+    const char* cell;
+    bool ok;
+    double value;
+  };
+  const std::vector<Real> reals = {
+      {"1.5", true, 1.5},
+      {"-2e-3", true, -2e-3},
+      {".5", true, 0.5},
+      {"1.", true, 1.0},
+      {"1e+06", true, 1e6},  // a '+' in the exponent is fine
+      {"0.30000000000000004", true, 0.30000000000000004},
+      // Subnormals parse (was: std::stod threw out_of_range on them, so a
+      // %.17g-written subnormal did not read back).
+      {"4.9406564584124654e-324", true,
+       std::numeric_limits<double>::denorm_min()},
+      {"", false, 0},
+      {" 1", false, 0},     // leading blank (was accepted)
+      {"+1", false, 0},     // '+' sign (was accepted)
+      {"0x1p3", false, 0},  // hexadecimal float (was accepted as 8)
+      {"inf", false, 0},    // non-finite (was accepted by the CLI, specs)
+      {"-inf", false, 0},
+      {"nan", false, 0},
+      {"infinity", false, 0},
+      {"1e999", false, 0},   // overflow
+      {"1e-400", false, 0},  // underflow past the subnormals
+      {"1 ", false, 0},
+      {"1.5x", false, 0},
+      {"1,5", false, 0},
+  };
+  for (const Real& row : reals) {
+    double value = -7.0;
+    EXPECT_EQ(fields::parse_finite(row.cell, &value), row.ok) << row.cell;
+    EXPECT_EQ(value, row.ok ? row.value : -7.0) << row.cell;
+  }
+  double zero = 1.0;
+  ASSERT_TRUE(fields::parse_finite("-0", &zero));
+  EXPECT_TRUE(std::signbit(zero));
+
+  struct Int {
+    const char* cell;
+    bool ok;
+    std::int64_t value;
+  };
+  const std::vector<Int> ints = {
+      {"0", true, 0},
+      {"-5", true, -5},
+      {"007", true, 7},
+      {"9223372036854775807", true, INT64_MAX},
+      {"-9223372036854775808", true, INT64_MIN},
+      {"", false, 0},
+      {"-", false, 0},
+      {" 5", false, 0},  // leading blank (was accepted)
+      {"+5", false, 0},  // '+' sign (was accepted)
+      {"5 ", false, 0},
+      {"9223372036854775808", false, 0},  // past int64 (strtoll saturated)
+      {"1e3", false, 0},
+      {"5.0", false, 0},
+      {"0x10", false, 0},
+  };
+  for (const Int& row : ints) {
+    std::int64_t value = -7;
+    EXPECT_EQ(fields::parse_i64(row.cell, &value), row.ok) << row.cell;
+    EXPECT_EQ(value, row.ok ? row.value : -7) << row.cell;
+  }
+
+  struct Uint {
+    const char* cell;
+    bool ok;
+    std::uint64_t value;
+  };
+  const std::vector<Uint> uints = {
+      {"0", true, 0},
+      {"007", true, 7},
+      {"18446744073709551615", true, UINT64_MAX},
+      {"", false, 0},
+      {"-5", false, 0},
+      {" -5", false, 0},  // was 2^64 - 5 in checkpoint u64 cells
+      {" 5", false, 0},
+      {"+5", false, 0},
+      {"18446744073709551616", false, 0},
+      {"5x", false, 0},
+  };
+  for (const Uint& row : uints) {
+    std::uint64_t value = 7;
+    EXPECT_EQ(fields::parse_u64(row.cell, &value), row.ok) << row.cell;
+    EXPECT_EQ(value, row.ok ? row.value : 7u) << row.cell;
+  }
+
+  struct Split {
+    const char* line;
+    char sep;
+    std::size_t fields;
+    std::vector<std::string_view> cells;  // what lands in 4 cells
+  };
+  const std::vector<Split> splits = {
+      {"a,b,c", ',', 3, {"a", "b", "c"}},
+      {"a,b,", ',', 3, {"a", "b", ""}},  // a trailing separator is a field
+      {"", ',', 1, {""}},
+      {",", ',', 2, {"", ""}},
+      {"x 1 2", ' ', 3, {"x", "1", "2"}},
+      {"x  1", ' ', 3, {"x", "", "1"}},  // blanks are not merged
+      // Past the cell count, the last cell keeps the rest of the line.
+      {"error,3,17,bad byte, at 9", ',', 5, {"error", "3", "17",
+                                             "bad byte, at 9"}},
+      {"x 0a 1 2 reason with  blanks", ' ', 8,
+       {"x", "0a", "1", "2 reason with  blanks"}},
+  };
+  for (const Split& row : splits) {
+    std::array<std::string_view, 4> cells;
+    EXPECT_EQ(fields::split(row.line, row.sep, cells), row.fields) << row.line;
+    for (std::size_t i = 0; i < row.cells.size(); ++i) {
+      EXPECT_EQ(cells[i], row.cells[i]) << row.line << " cell " << i;
+    }
+  }
+
+  EXPECT_EQ(fields::strip_cr("abc\r"), "abc");
+  EXPECT_EQ(fields::strip_cr("abc"), "abc");
+  EXPECT_EQ(fields::strip_cr("\r"), "");
+  EXPECT_EQ(fields::strip_cr("a\r\r"), "a\r");  // one CR, not all
+
+  for (const stats::FlowClass cls :
+       {stats::FlowClass::kQuery, stats::FlowClass::kBackground}) {
+    stats::FlowClass back = cls == stats::FlowClass::kQuery
+                                ? stats::FlowClass::kBackground
+                                : stats::FlowClass::kQuery;
+    const char tag[] = {fields::class_tag(cls), '\0'};
+    ASSERT_TRUE(fields::parse_class(tag, &back)) << tag;
+    EXPECT_EQ(back, cls);
+  }
+  EXPECT_EQ(fields::class_tag(stats::FlowClass::kQuery), 'q');
+  EXPECT_EQ(fields::class_tag(stats::FlowClass::kBackground), 'b');
+  for (const char* tag : {"", "Q", "x", "qb", "q "}) {
+    stats::FlowClass cls = stats::FlowClass::kQuery;
+    EXPECT_FALSE(fields::parse_class(tag, &cls)) << tag;
+  }
+}
+
 // -------------------------------------------------------------------- cli
 
 TEST(Cli, ParsesTypedOptions) {
@@ -262,6 +412,22 @@ TEST(Cli, OverflowingNumberIsAConfigErrorNotACrash) {
   EXPECT_THROW(cli.parse(2, argv1), ConfigError);
   const char* argv2[] = {"prog", "--load=1e999"};
   EXPECT_THROW(cli.parse(2, argv2), ConfigError);
+}
+
+TEST(Cli, NonFiniteRealIsRejected) {
+  // An infinite --horizon would never end; NaN fails every comparison.
+  for (const char* value : {"inf", "-inf", "nan", "infinity", "1e999"}) {
+    CliParser cli("prog", "test");
+    cli.real("horizon", 0.5, "horizon");
+    const std::string arg = std::string("--horizon=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    EXPECT_THROW(cli.parse(2, argv), ConfigError) << value;
+  }
+  CliParser cli("prog", "test");
+  cli.real("horizon", 0.5, "horizon");
+  const char* argv[] = {"prog", "--horizon", "0.3"};
+  ASSERT_TRUE(cli.parse(3, argv));
+  EXPECT_EQ(cli.get_real("horizon"), 0.3);
 }
 
 TEST(Cli, HelpReturnsFalseAndPrintsOptions) {

@@ -505,8 +505,7 @@ TEST(RunSession, SlottedCellsGetTheFaultPlanAndWatchdog) {
   ASSERT_TRUE(bench::parse_common(cli, 4, argv));
   // Slotted plans are in slot units: the random plan spans the horizon.
   const switchsim::Slot horizon = 2000;
-  bench::RunSession session(cli, "exec_slotted_faults", 4,
-                            seconds(static_cast<double>(horizon)));
+  bench::RunSession session(cli, "exec_slotted_faults", 4, horizon);
   ASSERT_TRUE(session.fault_active());
 
   switchsim::SlottedConfig config;
@@ -536,6 +535,28 @@ TEST(RunSession, SlottedCellsGetTheFaultPlanAndWatchdog) {
   session.run_sweep(sweep);
   ASSERT_TRUE(result.has_value());
   EXPECT_GT(result->fault_stats.transitions, 0);
+}
+
+TEST(RunSession, FaultPlanLineNamesTheHorizonUnit) {
+  CliParser cli("test_exec", "fault plan unit");
+  const char* argv[] = {"test_exec", "--fault-plan=random"};
+  ASSERT_TRUE(bench::parse_common(cli, 2, argv));
+  const auto plan_line = [](const auto& make_session) {
+    ::testing::internal::CaptureStdout();
+    make_session();
+    return ::testing::internal::GetCapturedStdout();
+  };
+  // A slotted horizon is in slots, so the plan's span is too.
+  const std::string slotted = plan_line([&] {
+    bench::RunSession session(cli, "exec_unit_slots", 4,
+                              switchsim::Slot{20000});
+  });
+  EXPECT_NE(slotted.find(" events over [0, "), std::string::npos) << slotted;
+  EXPECT_TRUE(slotted.ends_with("] slots\n")) << slotted;
+  const std::string timed = plan_line([&] {
+    bench::RunSession session(cli, "exec_unit_seconds", 4, seconds(1.0));
+  });
+  EXPECT_TRUE(timed.ends_with("] s\n")) << timed;
 }
 
 /// One --profile --metrics session over four cells at `jobs`; returns
@@ -653,6 +674,12 @@ TEST(SchedulerSpecText, RejectsMalformedSpecs) {
       "fast-basrpt:unknown=1",  // unknown key
       "srpt:threshold=10",     // threshold only for threshold-srpt
       "fast-basrpt:rounds=2",  // rounds only for dist-basrpt
+      "fast-basrpt:v=inf",     // v must be finite
+      "fast-basrpt:v=nan",     // ... and a number
+      "srpt:err=inf",          // err must be finite
+      "fast-basrpt:v= 5",      // no leading blank
+      "fast-basrpt:v=0x10",    // no hexadecimal
+      "srpt:err=2:noise-seed=99999999999999999999",  // past int64
   };
   for (const auto& text : bad) {
     EXPECT_THROW(sched::SchedulerSpec::parse(text), ConfigError) << text;

@@ -3,6 +3,7 @@
 // the exact 2x2 DTMC solver.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -16,11 +17,11 @@
 #include "sched/fast_basrpt.hpp"
 #include "sched/noisy.hpp"
 #include "sched/srpt.hpp"
+#include "srv/feed.hpp"
 #include "switchsim/arrivals.hpp"
 #include "switchsim/slotted_sim.hpp"
 #include "workload/generators.hpp"
 #include "workload/governor.hpp"
-#include "workload/trace_io.hpp"
 
 namespace basrpt {
 namespace {
@@ -106,130 +107,160 @@ TEST(LoadGovernor, RejectsBadParameters) {
   EXPECT_THROW(workload::LoadGovernor(4, gbps(10.0), 1.5), ConfigError);
 }
 
-// --------------------------------------------------------------- trace IO
+// ----------------------------------------------------- recorded traces
 
-std::vector<workload::FlowArrival> sample_trace() {
-  std::vector<workload::FlowArrival> arrivals(3);
-  arrivals[0].time = SimTime{0.001};
-  arrivals[0].src = 3;
-  arrivals[0].dst = 7;
-  arrivals[0].size = 20_KB;
-  arrivals[0].cls = stats::FlowClass::kQuery;
-  arrivals[1].time = SimTime{0.002};
-  arrivals[1].src = 1;
-  arrivals[1].dst = 2;
-  arrivals[1].size = 5_MB;
-  arrivals[1].cls = stats::FlowClass::kBackground;
-  arrivals[2].time = SimTime{0.002};
-  arrivals[2].src = 0;
-  arrivals[2].dst = 4;
-  arrivals[2].size = 1_KB;
-  arrivals[2].cls = stats::FlowClass::kQuery;
+/// Every arrival of a seeded paper_mix stream on `fabric`, as feed
+/// records: a workload recorded once for replay.
+std::vector<srv::FeedRecord> record_paper_mix(const topo::FabricConfig& fabric,
+                                              double load, SimTime horizon,
+                                              std::uint64_t seed) {
+  const workload::TrafficSourcePtr source =
+      workload::paper_mix(load, 0.2, fabric.racks, fabric.hosts_per_rack,
+                          fabric.host_link, horizon, Rng(seed));
+  std::vector<srv::FeedRecord> records;
+  while (const auto arrival = source->next()) {
+    records.push_back({*arrival, 0});
+  }
+  return records;
+}
+
+std::vector<workload::FlowArrival> arrivals_of(
+    const std::vector<srv::FeedRecord>& records) {
+  std::vector<workload::FlowArrival> arrivals;
+  for (const srv::FeedRecord& record : records) {
+    arrivals.push_back(record.arrival);
+  }
   return arrivals;
 }
 
-TEST(TraceIo, RoundTripPreservesEverything) {
-  const auto original = sample_trace();
-  std::stringstream buffer;
-  workload::write_trace(buffer, original);
-  const auto restored = workload::read_trace(buffer);
-  ASSERT_EQ(restored.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_NEAR(restored[i].time.seconds, original[i].time.seconds, 1e-9);
-    EXPECT_EQ(restored[i].src, original[i].src);
-    EXPECT_EQ(restored[i].dst, original[i].dst);
-    EXPECT_EQ(restored[i].size, original[i].size);
-    EXPECT_EQ(restored[i].cls, original[i].cls);
-  }
+/// A hand-written recording: both classes, and two arrivals at one time.
+std::vector<srv::FeedRecord> sample_recording() {
+  std::vector<srv::FeedRecord> records(3);
+  records[0].arrival.time = SimTime{0.001};
+  records[0].arrival.src = 3;
+  records[0].arrival.dst = 7;
+  records[0].arrival.size = 20_KB;
+  records[0].arrival.cls = stats::FlowClass::kQuery;
+  records[1].arrival.time = SimTime{0.002};
+  records[1].arrival.src = 1;
+  records[1].arrival.dst = 2;
+  records[1].arrival.size = 5_MB;
+  records[1].arrival.cls = stats::FlowClass::kBackground;
+  records[2].arrival.time = SimTime{0.002};
+  records[2].arrival.src = 0;
+  records[2].arrival.dst = 4;
+  records[2].arrival.size = 1_KB;
+  records[2].arrival.cls = stats::FlowClass::kQuery;
+  return records;
 }
 
-TEST(TraceIo, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/basrpt_trace_test.csv";
-  workload::write_trace_file(path, sample_trace());
-  const auto restored = workload::read_trace_file(path);
-  EXPECT_EQ(restored.size(), 3u);
+/// Reads a recording made of the feed header, `body` and the `end` line.
+std::vector<srv::FeedRecord> read_recording(const std::string& body) {
+  std::stringstream in(std::string(srv::kFeedMagic) + "\n" + body + "end\n");
+  return srv::read_feed(in);
+}
+
+TEST(TraceIo, RoundTripPreservesEverything) {
+  const std::vector<srv::FeedRecord> original = sample_recording();
+  std::stringstream buffer;
+  srv::write_feed(buffer, original);
+  const std::vector<srv::FeedRecord> restored = srv::read_feed(buffer);
+  ASSERT_EQ(restored.size(), original.size());
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    EXPECT_EQ(restored[i].arrival.time.seconds,
+              original[i].arrival.time.seconds);  // bit-exact
+    EXPECT_EQ(restored[i].arrival.src, original[i].arrival.src);
+    EXPECT_EQ(restored[i].arrival.dst, original[i].arrival.dst);
+    EXPECT_EQ(restored[i].arrival.size, original[i].arrival.size);
+    EXPECT_EQ(restored[i].arrival.cls, original[i].arrival.cls);
+    EXPECT_EQ(restored[i].tenant, original[i].tenant);
+  }
 }
 
 TEST(TraceIo, RejectsMalformedInput) {
   {
-    std::stringstream bad("not-a-trace\n");
-    EXPECT_THROW(workload::read_trace(bad), ConfigError);
+    std::stringstream bad("not-a-trace\nflow,1.0,0,1,100,q\nend\n");
+    EXPECT_THROW(srv::read_feed(bad), ConfigError);
   }
-  {
-    std::stringstream bad("basrpt-trace-v1\n1.0,2,3\n");
-    EXPECT_THROW(workload::read_trace(bad), ConfigError);
-  }
-  {
-    std::stringstream bad("basrpt-trace-v1\n1.0,2,3,100,x\n");
-    EXPECT_THROW(workload::read_trace(bad), ConfigError);
-  }
-  {
-    // Times going backwards.
-    std::stringstream bad(
-        "basrpt-trace-v1\n2.0,0,1,100,q\n1.0,0,1,100,q\n");
-    EXPECT_THROW(workload::read_trace(bad), ConfigError);
+  EXPECT_THROW(read_recording("flow,1.0,2,3\n"), ConfigError);
+  EXPECT_THROW(read_recording("flow,1.0,2,3,100,x\n"), ConfigError);
+  // Times going backwards.
+  EXPECT_THROW(read_recording("flow,2.0,0,1,100,q\nflow,1.0,0,1,100,q\n"),
+               ConfigError);
+}
+
+TEST(TraceIo, OverflowingNumbersRejected) {
+  EXPECT_THROW(read_recording("flow,1e999,0,1,100,q\n"), ConfigError);
+  EXPECT_THROW(read_recording("flow,1.0,0,1,99999999999999999999,q\n"),
+               ConfigError);
+}
+
+TEST(TraceIo, TrailingGarbageInNumbersRejected) {
+  // A partial conversion ("1.5x" read as 1.5) must not be accepted.
+  EXPECT_THROW(read_recording("flow,1.5x,0,1,100,q\n"), ConfigError);
+  EXPECT_THROW(read_recording("flow,1.0,0y,1,100,q\n"), ConfigError);
+}
+
+TEST(TraceIo, WrongFieldCountRejected) {
+  EXPECT_THROW(read_recording("flow,1.0,0,1,100\n"), ConfigError);
+  EXPECT_THROW(read_recording("flow,1.0,0,1,100,q,0,extra\n"), ConfigError);
+  // A trailing comma is a real (empty) field, not whitespace.
+  EXPECT_THROW(read_recording("flow,1.0,0,1,100,q,\n"), ConfigError);
+  EXPECT_THROW(read_recording("flow,1.0,0,1,100,q,0,\n"), ConfigError);
+}
+
+TEST(TraceIo, NegativePortsAndSizesRejected) {
+  EXPECT_THROW(read_recording("flow,1.0,-1,1,100,q\n"), ConfigError);
+  EXPECT_THROW(read_recording("flow,1.0,0,-1,100,q\n"), ConfigError);
+  EXPECT_THROW(read_recording("flow,1.0,0,1,-100,q\n"), ConfigError);
+}
+
+TEST(TraceIo, CrlfLineEndingsAccepted) {
+  std::stringstream in(std::string(srv::kFeedMagic) +
+                       "\r\nflow,0.5,1,2,777,b\r\nend\r\n");
+  const std::vector<srv::FeedRecord> trace = srv::read_feed(in);
+  ASSERT_EQ(trace.size(), 1u);
+  EXPECT_EQ(trace[0].arrival.size.count, 777);
+  EXPECT_EQ(trace[0].arrival.cls, stats::FlowClass::kBackground);
+}
+
+TEST(TraceIo, FileRoundTrip) {
+  const topo::FabricConfig fabric = topo::small_fabric(2, 4, 2);
+  const std::vector<srv::FeedRecord> recorded =
+      record_paper_mix(fabric, 0.5, seconds(0.01), 23);
+  ASSERT_FALSE(recorded.empty());
+  const std::string path = ::testing::TempDir() + "/basrpt_trace_test.feed";
+  srv::write_feed_file(path, recorded);
+  const std::vector<srv::FeedRecord> restored = srv::read_feed_file(path);
+  ASSERT_EQ(restored.size(), recorded.size());
+  for (std::size_t i = 0; i < recorded.size(); ++i) {
+    const workload::FlowArrival& a = recorded[i].arrival;
+    const workload::FlowArrival& b = restored[i].arrival;
+    EXPECT_EQ(b.time.seconds, a.time.seconds) << i;  // bit-exact
+    EXPECT_EQ(b.src, a.src) << i;
+    EXPECT_EQ(b.dst, a.dst) << i;
+    EXPECT_EQ(b.size, a.size) << i;
+    EXPECT_EQ(b.cls, a.cls) << i;
   }
 }
 
 TEST(TraceIo, TruncatedFileRejected) {
-  // The writer terminates every row; a missing final newline means the
-  // file was cut off mid-write and must not be replayed silently.
-  std::stringstream bad("basrpt-trace-v1\n1.0,0,1,100,q\n2.0,0,1,100");
-  EXPECT_THROW(workload::read_trace(bad), ConfigError);
-  // Header-only truncation is caught too.
-  std::stringstream bad_header("basrpt-trace-v1");
-  EXPECT_THROW(workload::read_trace(bad_header), ConfigError);
-}
-
-TEST(TraceIo, OverflowingNumbersRejected) {
-  // stod/stoll throw std::out_of_range (not logic_error) on these; the
-  // reader must translate that into a ParseError, not crash.
-  std::stringstream bad_time("basrpt-trace-v1\n1e999,0,1,100,q\n");
-  EXPECT_THROW(workload::read_trace(bad_time), ConfigError);
-  std::stringstream bad_size(
-      "basrpt-trace-v1\n1.0,0,1,99999999999999999999,q\n");
-  EXPECT_THROW(workload::read_trace(bad_size), ConfigError);
-}
-
-TEST(TraceIo, TrailingGarbageInNumbersRejected) {
-  // Partial conversions ("1.5x" parses as 1.5 under plain stod) must
-  // not be accepted.
-  std::stringstream bad_time("basrpt-trace-v1\n1.5x,0,1,100,q\n");
-  EXPECT_THROW(workload::read_trace(bad_time), ConfigError);
-  std::stringstream bad_port("basrpt-trace-v1\n1.0,0y,1,100,q\n");
-  EXPECT_THROW(workload::read_trace(bad_port), ConfigError);
-}
-
-TEST(TraceIo, WrongFieldCountRejected) {
-  std::stringstream four("basrpt-trace-v1\n1.0,0,1,100\n");
-  EXPECT_THROW(workload::read_trace(four), ConfigError);
-  std::stringstream six("basrpt-trace-v1\n1.0,0,1,100,q,extra\n");
-  EXPECT_THROW(workload::read_trace(six), ConfigError);
-  // A trailing comma is a real (empty) sixth field, not whitespace.
-  std::stringstream trailing("basrpt-trace-v1\n1.0,0,1,100,q,\n");
-  EXPECT_THROW(workload::read_trace(trailing), ConfigError);
-}
-
-TEST(TraceIo, NegativePortsAndSizesRejected) {
-  std::stringstream bad_port("basrpt-trace-v1\n1.0,-1,1,100,q\n");
-  EXPECT_THROW(workload::read_trace(bad_port), ConfigError);
-  std::stringstream bad_size("basrpt-trace-v1\n1.0,0,1,-100,q\n");
-  EXPECT_THROW(workload::read_trace(bad_size), ConfigError);
-}
-
-TEST(TraceIo, CrlfLineEndingsAccepted) {
-  std::stringstream in("basrpt-trace-v1\r\n0.5,1,2,777,b\r\n");
-  const auto trace = workload::read_trace(in);
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace[0].size.count, 777);
+  // The writer terminates every line; a recording cut mid-line must not
+  // replay as a shorter workload.
+  const std::string path = ::testing::TempDir() + "/basrpt_torn.feed";
+  {
+    std::ofstream out(path);
+    out << srv::kFeedMagic << "\nflow,1.0,0,1,100,q\nflow,2.0,0,1,1";
+  }
+  EXPECT_THROW(srv::read_feed_file(path), ParseError);
 }
 
 TEST(TraceIo, ParseErrorCarriesLineNumber) {
-  // Line 3 is the bad row (header is line 1).
-  std::stringstream bad(
-      "basrpt-trace-v1\n1.0,0,1,100,q\n2.0,0,1,100,z\n");
+  // Line 3 is the bad row (the header is line 1), and the message says so.
+  std::stringstream bad(std::string(srv::kFeedMagic) +
+                        "\nflow,1.0,0,1,100,q\nflow,2.0,0,1,100,z\n");
   try {
-    workload::read_trace(bad);
+    srv::read_feed(bad);
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 3u);
@@ -238,74 +269,64 @@ TEST(TraceIo, ParseErrorCarriesLineNumber) {
 }
 
 TEST(TraceIo, CommentsAndBlankLinesIgnored) {
-  std::stringstream in(
-      "basrpt-trace-v1\n# comment\n\n0.5,1,2,777,b\n");
-  const auto trace = workload::read_trace(in);
+  const std::vector<srv::FeedRecord> trace =
+      read_recording("# comment\n\nflow,0.5,1,2,777,b\n");
   ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace[0].size.count, 777);
-}
-
-TEST(TraceIo, RecorderTeesArrivals) {
-  auto inner =
-      std::make_unique<workload::VectorTraffic>(sample_trace());
-  workload::RecordingTraffic recorder(std::move(inner));
-  std::size_t pulled = 0;
-  while (recorder.next()) {
-    ++pulled;
-  }
-  EXPECT_EQ(pulled, 3u);
-  EXPECT_EQ(recorder.recorded().size(), 3u);
-  // Replay the recording through the simulator path.
-  std::stringstream buffer;
-  workload::write_trace(buffer, recorder.recorded());
-  EXPECT_EQ(workload::read_trace(buffer).size(), 3u);
+  EXPECT_EQ(trace[0].arrival.size.count, 777);
 }
 
 TEST(TraceIo, ReplayReproducesSimulationExactly) {
-  // Record a random workload, then run the simulator on the live source
-  // and on the recorded trace: results must match bit-for-bit.
+  // Record a random workload as a basrpt-feed-v1 stream, then run the
+  // simulator on the live source and on the parsed recording: results
+  // must match bit-for-bit.
   const topo::FabricConfig fabric = topo::small_fabric(2, 4, 2);
-  Rng rng(21);
-  workload::RecordingTraffic recorder(workload::paper_mix(
-      0.7, 0.2, fabric.racks, fabric.hosts_per_rack, fabric.host_link,
-      seconds(0.15), rng));
-
   flowsim::FlowSimConfig config;
   config.fabric = fabric;
   config.horizon = seconds(0.15);
   sched::SrptScheduler srpt;
-  const auto live = run_flow_sim(config, srpt, recorder);
+  const workload::TrafficSourcePtr live_source =
+      workload::paper_mix(0.7, 0.2, fabric.racks, fabric.hosts_per_rack,
+                          fabric.host_link, config.horizon, Rng(21));
+  const auto live = run_flow_sim(config, srpt, *live_source);
 
-  workload::VectorTraffic replay(recorder.recorded());
+  const std::vector<srv::FeedRecord> recorded =
+      record_paper_mix(fabric, 0.7, config.horizon, 21);
+  std::stringstream feed;
+  srv::write_feed(feed, recorded);
+  const std::vector<srv::FeedRecord> parsed = srv::read_feed(feed);
+  ASSERT_EQ(parsed.size(), recorded.size());
+  for (std::size_t i = 0; i < parsed.size(); ++i) {
+    ASSERT_EQ(parsed[i].arrival.time.seconds,
+              recorded[i].arrival.time.seconds);
+  }
+  workload::VectorTraffic replay(arrivals_of(parsed));
   const auto replayed = run_flow_sim(config, srpt, replay);
 
+  EXPECT_GT(live.flows_arrived, 100);
   EXPECT_EQ(live.flows_arrived, replayed.flows_arrived);
   EXPECT_EQ(live.flows_completed, replayed.flows_completed);
   EXPECT_EQ(live.delivered, replayed.delivered);
-  EXPECT_DOUBLE_EQ(
-      live.fct.summary(stats::FlowClass::kQuery).mean_seconds,
-      replayed.fct.summary(stats::FlowClass::kQuery).mean_seconds);
+  EXPECT_EQ(live.fct.summary(stats::FlowClass::kQuery).mean_seconds,
+            replayed.fct.summary(stats::FlowClass::kQuery).mean_seconds);
 }
 
 TEST(TraceIo, FileRoundTripPreservesSimulation) {
   const topo::FabricConfig fabric = topo::small_fabric(2, 4, 2);
-  Rng rng(22);
-  workload::RecordingTraffic recorder(workload::paper_mix(
-      0.6, 0.2, fabric.racks, fabric.hosts_per_rack, fabric.host_link,
-      seconds(0.1), rng));
-  while (recorder.next()) {
-  }
-  const std::string path = ::testing::TempDir() + "/basrpt_replay.trace";
-  workload::write_trace_file(path, recorder.recorded());
+  const std::vector<srv::FeedRecord> recorded =
+      record_paper_mix(fabric, 0.6, seconds(0.1), 22);
+  const std::string path = ::testing::TempDir() + "/basrpt_replay.feed";
+  srv::write_feed_file(path, recorded);
 
   flowsim::FlowSimConfig config;
   config.fabric = fabric;
   config.horizon = seconds(0.1);
   sched::SrptScheduler srpt;
-  workload::VectorTraffic from_memory(recorder.recorded());
+  workload::VectorTraffic from_memory(arrivals_of(recorded));
   const auto a = run_flow_sim(config, srpt, from_memory);
-  workload::VectorTraffic from_file(workload::read_trace_file(path));
+  workload::VectorTraffic from_file(arrivals_of(srv::read_feed_file(path)));
   const auto b = run_flow_sim(config, srpt, from_file);
+  EXPECT_GT(a.flows_arrived, 100);
+  EXPECT_EQ(a.flows_arrived, b.flows_arrived);
   EXPECT_EQ(a.flows_completed, b.flows_completed);
   EXPECT_EQ(a.delivered, b.delivered);
 }

@@ -18,11 +18,11 @@
 #include "sim/engine.hpp"
 #include "srv/connection.hpp"
 #include "srv/feed.hpp"
+#include "srv/state_codec.hpp"
 #include "srv/wire.hpp"
 #include "switchsim/arrivals.hpp"
 #include "switchsim/slotted_sim.hpp"
 #include "workload/generators.hpp"
-#include "workload/trace_io.hpp"
 
 namespace basrpt {
 namespace {
@@ -383,30 +383,31 @@ TEST_P(FaultPlanFuzz, MutatedInputNeverEscapesConfigError) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FaultPlanFuzz, ::testing::Range(0, 4));
 
-/// Same mutation harness against the trace reader: a corrupted or
-/// truncated trace must never crash, loop, or parse into out-of-order
-/// arrivals — only ConfigError (or a clean parse) is acceptable.
+/// Same mutation harness against a recorded workload: the first arrivals
+/// of a seeded paper_mix stream, written as feed records the way
+/// trace_workflow records them. A corrupted or truncated recording must
+/// never crash, loop, or replay out-of-order arrivals — only ConfigError
+/// (or a clean parse) is acceptable.
 class TraceIoFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(TraceIoFuzz, MutatedTracesNeverEscapeConfigError) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 12289 + 11);
-  // Build a small valid trace to mutate.
-  std::vector<workload::FlowArrival> arrivals;
-  double t = 0.0;
-  for (int i = 0; i < 12; ++i) {
-    t += rng.exponential(100.0);
-    workload::FlowArrival a;
-    a.time = SimTime{t};
-    a.src = static_cast<PortId>(rng.uniform_int(0, 7));
-    a.dst = static_cast<PortId>(rng.uniform_int(0, 7));
-    a.size = Bytes{rng.uniform_int(1, 1'000'000)};
-    a.cls = rng.bernoulli(0.5) ? stats::FlowClass::kQuery
-                               : stats::FlowClass::kBackground;
-    arrivals.push_back(a);
+  const workload::TrafficSourcePtr source = workload::paper_mix(
+      0.7, 0.2, 2, 4, gbps(10.0), seconds(1.0),
+      Rng(static_cast<std::uint64_t>(GetParam()) + 1));
+  std::vector<srv::FeedRecord> recording;
+  while (recording.size() < 12) {
+    const auto arrival = source->next();
+    ASSERT_TRUE(arrival.has_value());
+    recording.push_back({*arrival, 0});
   }
   std::ostringstream rendered;
-  workload::write_trace(rendered, arrivals);
+  srv::write_feed(rendered, recording);
   const std::string pristine = rendered.str();
+  {
+    std::istringstream in(pristine);
+    ASSERT_EQ(srv::read_feed(in).size(), recording.size());
+  }
 
   for (int round = 0; round < 400; ++round) {
     std::string text = pristine;
@@ -433,26 +434,29 @@ TEST_P(TraceIoFuzz, MutatedTracesNeverEscapeConfigError) {
     }
     std::istringstream in(text);
     try {
-      const auto trace = workload::read_trace(in);
+      const auto trace = srv::read_feed(in);
       // Whatever survived mutation must satisfy the reader's contract.
       double last = 0.0;
-      for (const auto& a : trace) {
-        ASSERT_GE(a.time.seconds, last);
-        ASSERT_GE(a.src, 0);
-        ASSERT_GE(a.dst, 0);
-        ASSERT_GT(a.size.count, 0);
-        last = a.time.seconds;
+      for (const auto& r : trace) {
+        ASSERT_GE(r.arrival.time.seconds, last);
+        ASSERT_GE(r.arrival.src, 0);
+        ASSERT_GE(r.arrival.dst, 0);
+        ASSERT_NE(r.arrival.src, r.arrival.dst);
+        ASSERT_GT(r.arrival.size.count, 0);
+        ASSERT_GE(r.tenant, 0);
+        last = r.arrival.time.seconds;
       }
     } catch (const ConfigError&) {
-      // Expected for malformed input.
+      // Expected for malformed input (ParseError derives from this).
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceIoFuzz, ::testing::Range(0, 4));
 
-/// And against the serving feed reader (basrpt-feed-v1): the daemon
-/// ingests this format off a pipe, so a torn or corrupted stream must
+/// Same mutation harness against the feed reader (basrpt-feed-v1): the
+/// daemon ingests this format off a pipe, and recorded workloads replay
+/// from it, so a torn or corrupted stream must
 /// surface as a line-numbered ConfigError — never a crash, hang, or a
 /// record that violates the reader's contract.
 class FeedFuzz : public ::testing::TestWithParam<int> {};
@@ -800,28 +804,70 @@ TEST_P(CkptContainerFuzz, MutatedBytesNeverEscapeConfigError) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CkptContainerFuzz, ::testing::Range(0, 4));
 
+/// A small server checkpoint in which every row kind appears: selected
+/// ids, flows of both classes, scheduler words, tenant counts and health
+/// transitions with free-text reasons.
+std::string pristine_server_snapshot() {
+  srv::ServerCkpt state;
+  state.feed_records_consumed = 12;
+  state.decisions_emitted = 12;
+  state.sim.now_sec = 0.5;
+  state.sim.scheduler_state = {1, 0xdeadbeefull};
+  state.sim.lifecycle.next_id = 9;
+  state.sim.lifecycle.flows_arrived = 10;
+  state.sim.lifecycle.prev_selected = {3, 5};
+  for (const FlowId id : {3, 5, 8}) {
+    Flow f;
+    f.id = id;
+    f.src = 0;
+    f.dst = static_cast<PortId>(id % 3 + 1);
+    f.size = Bytes{1000 * id};
+    f.remaining = Bytes{400};
+    f.arrival = SimTime{0.01 * static_cast<double>(id)};
+    f.cls = id == 5 ? stats::FlowClass::kQuery
+                    : stats::FlowClass::kBackground;
+    state.sim.flows.push_back(f);
+  }
+  state.slo.admitted = 10;
+  state.slo.shed = 2;
+  state.slo.admitted_by_tenant = {{0, 6}, {1, 4}};
+  state.slo.shed_by_tenant = {{1, 2}};
+  state.health.state = srv::HealthState::kShedding;
+  state.health.shed_entries = 1;
+  state.health.transitions = {
+      {0.25, srv::HealthState::kHealthy, srv::HealthState::kShedding,
+       "backlog 100 >= 96, enter"},
+      {0.4, srv::HealthState::kShedding, srv::HealthState::kHealthy, ""}};
+  return srv::encode_server_ckpt(state);
+}
+
 /// Semantic fuzz below the CRC: mutate whole payload *lines* and rebuild
 /// the container (fresh CRCs), so the typed SectionReader and the
-/// slotted codec see internally consistent but schema-violating input.
-/// This is the drift a newer writer / older reader pair would produce.
+/// codecs see internally consistent but schema-violating input — the
+/// drift a newer writer / older reader pair would produce — for both
+/// the slotted simulator's and the serving daemon's checkpoints.
 class CkptCodecFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(CkptCodecFuzz, MutatedPayloadNeverEscapesConfigError) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 40961 + 37);
-  const std::string pristine = pristine_slotted_snapshot();
-  std::istringstream pin(pristine);
-  const ckpt::Snapshot parsed = ckpt::Snapshot::parse(pin);
+  const auto parse = [](const std::string& text) {
+    std::istringstream in(text);
+    return ckpt::Snapshot::parse(in);
+  };
+  const ckpt::Snapshot slotted = parse(pristine_slotted_snapshot());
+  const ckpt::Snapshot server = parse(pristine_server_snapshot());
 
-  for (int round = 0; round < 200; ++round) {
+  for (int round = 0; round < 400; ++round) {
+    const bool serving = round % 2 == 1;
     ckpt::SnapshotWriter w;
-    for (const auto& section : parsed.sections()) {
+    for (const auto& section : (serving ? server : slotted).sections()) {
       auto& out = w.section(section.name);
       std::vector<std::string> lines = section.lines;
       const int mutations = static_cast<int>(rng.uniform_int(0, 2));
       for (int m = 0; m < mutations && !lines.empty(); ++m) {
         const auto at = static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(lines.size()) - 1));
-        switch (rng.uniform_int(0, 3)) {
+        switch (rng.uniform_int(0, 4)) {
           case 0:  // corrupt one byte of the line
             if (!lines[at].empty()) {
               lines[at][static_cast<std::size_t>(rng.uniform_int(
@@ -836,11 +882,19 @@ TEST_P(CkptCodecFuzz, MutatedPayloadNeverEscapesConfigError) {
             lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
                          lines[at]);
             break;
-          default:  // swap with a neighbour (order drift)
+          case 3:  // swap with a neighbour (order drift)
             if (at + 1 < lines.size()) {
               std::swap(lines[at], lines[at + 1]);
             }
             break;
+          default: {  // a count no section holds, or a blank-led sign
+            const std::size_t space = lines[at].find(' ');
+            if (space != std::string::npos) {
+              lines[at] = lines[at].substr(0, space) +
+                          (rng.bernoulli(0.5) ? " 1000000000000" : "  -5");
+            }
+            break;
+          }
         }
       }
       for (const auto& line : lines) {
@@ -850,10 +904,16 @@ TEST_P(CkptCodecFuzz, MutatedPayloadNeverEscapesConfigError) {
     std::istringstream in(w.str());
     try {
       const ckpt::Snapshot snap = ckpt::Snapshot::parse(in);
-      (void)ckpt::read_slotted_state(snap);
+      if (serving) {
+        (void)srv::decode_server_ckpt(snap);
+      } else {
+        (void)ckpt::read_slotted_state(snap);
+      }
     } catch (const ConfigError&) {
       // Expected: schema drift must surface as a ParseError.
     }
+    // Any other exception type (bad_alloc, length_error) propagates and
+    // fails the test.
   }
 }
 

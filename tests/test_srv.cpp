@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -23,6 +24,7 @@
 #include "common/net.hpp"
 #include "fault/chaos_link.hpp"
 #include "fault/fault_plan.hpp"
+#include "perf/profiler.hpp"
 #include "srv/client.hpp"
 #include "srv/connection.hpp"
 #include "srv/feed.hpp"
@@ -112,7 +114,7 @@ TEST(Feed, RoundTripPreservesEveryField) {
 TEST(Feed, HeaderIsMandatory) {
   EXPECT_EQ(parse_error_line("not-a-feed\nflow,0,0,1,10,q\nend\n"), 1u);
   EXPECT_EQ(parse_error_line(""), 1u);
-  // basrpt-trace-v1 is a different format, not a feed.
+  // Another format's magic (the retired trace format's) is not a feed.
   EXPECT_EQ(parse_error_line("basrpt-trace-v1\nend\n"), 1u);
 }
 
@@ -174,6 +176,7 @@ TEST(Feed, RejectsMalformedRecordsWithLineNumbers) {
       "flow,0,0,1,10",                       // too few fields
       "flow,0,0,1,10,q,0,9",                 // too many fields
       "flow,abc,0,1,10,q",                   // non-numeric time
+      "flow,1.5x,0,1,10,q",                  // trailing garbage in time
       "flow,1e999,0,1,10,q",                 // overflowing time
       "flow,nan,0,1,10,q",                   // non-finite time
       "flow,-1,0,1,10,q",                    // negative time
@@ -195,6 +198,35 @@ TEST(Feed, RejectsMalformedRecordsWithLineNumbers) {
   EXPECT_EQ(parse_error_line(feed_text(
                 {"flow,1.0,0,1,10,q", "flow,0.5,0,1,10,q", "end"})),
             3u);
+}
+
+TEST(Feed, SteadyStateReadingDoesNotAllocate) {
+  std::vector<srv::FeedRecord> records;
+  for (int i = 0; i < 4000; ++i) {
+    records.push_back(make_record(1e-4 * i + 1.0 / 3.0, i % 7, 7, 1 + i * 977,
+                                  i % 3 == 0 ? stats::FlowClass::kQuery
+                                             : stats::FlowClass::kBackground,
+                                  i % 5));
+  }
+  std::ostringstream out;
+  srv::write_feed(out, records);
+  std::istringstream in(out.str());
+  srv::FeedReader reader(in);
+  // The first records size the reader's line buffer.
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(reader.next().has_value());
+  }
+  perf::set_alloc_counting(true);
+  const std::uint64_t before = perf::alloc_total();
+  std::size_t read = 0;
+  while (reader.next()) {
+    ++read;
+  }
+  const std::uint64_t allocs = perf::alloc_total() - before;
+  perf::set_alloc_counting(false);
+  EXPECT_EQ(read, records.size() - 64);
+  EXPECT_TRUE(reader.clean_end());
+  EXPECT_EQ(allocs, 0u) << "over " << read << " records";
 }
 
 // --------------------------------------------------------------- health
@@ -575,6 +607,50 @@ TEST(Server, CheckpointCodecRoundTripsTheLiveState) {
   EXPECT_THROW(
       { srv::decode_server_ckpt(ckpt::Snapshot::parse(cut)); },
       ConfigError);
+}
+
+TEST(Server, CheckpointCountsPastThePayloadAreParseErrors) {
+  // A valid-CRC section whose row count no section could hold must fail
+  // as a ParseError before anything reserves room for it, not escape as
+  // bad_alloc (a huge count) or length_error (a blank-led "-5" that a
+  // sign-tolerant reader took for 2^64 - 5).
+  const srv::LoadGenConfig gen = tiny_gen();
+  std::istringstream feed_in(rendered_feed(gen));
+  srv::FeedReader feed(feed_in);
+  srv::Server server(tiny_server(gen));
+  (void)server.serve(feed);
+  std::istringstream snap_in(srv::encode_server_ckpt(server.capture()));
+  const ckpt::Snapshot pristine = ckpt::Snapshot::parse(snap_in);
+
+  const std::vector<std::pair<std::string, std::string>> counts = {
+      {"lifecycle", "prev_selected"},
+      {"flows", "count"},
+      {"scheduler", "words"},
+      {"health", "transitions"},
+      {"slo", "admitted_by_tenant"},
+  };
+  for (const auto& [section_name, key] : counts) {
+    for (const char* value : {" 1000000000000", "  -5"}) {
+      ckpt::SnapshotWriter writer;
+      bool replaced = false;
+      for (const ckpt::Section& section : pristine.sections()) {
+        auto& out = writer.section(section.name);
+        for (const std::string& line : section.lines) {
+          if (section.name == section_name && line.rfind(key + " ", 0) == 0) {
+            out.line(key + value);
+            replaced = true;
+          } else {
+            out.line(line);
+          }
+        }
+      }
+      ASSERT_TRUE(replaced) << section_name << "/" << key;
+      std::istringstream in(writer.str());
+      const ckpt::Snapshot mutated = ckpt::Snapshot::parse(in);
+      EXPECT_THROW((void)srv::decode_server_ckpt(mutated), ParseError)
+          << section_name << "/" << key << value;
+    }
+  }
 }
 
 TEST(Server, KillAndResumeMatchesTheUninterruptedRun) {
@@ -1039,6 +1115,17 @@ struct ClientRun {
   std::exception_ptr error;
 };
 
+/// The message of a captured exception.
+std::string what(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown exception";
+  }
+}
+
 /// Runs srv::Client over `records` on a background thread.
 std::thread drive_client(const srv::ClientConfig& config,
                          const std::vector<srv::FeedRecord>& records,
@@ -1076,7 +1163,7 @@ TEST(Transport, UdsRoundTripMatchesTheInProcessRun) {
   srv::Server server(tiny_server(gen));
   const srv::ServeResult res = server.serve(transport);
   producer.join();
-  ASSERT_FALSE(run.error) << "client threw";
+  ASSERT_FALSE(run.error) << "client threw: " << what(run.error);
 
   // The socket adds framing and a second process's worth of timing; the
   // deterministic counters must not notice.
@@ -1107,36 +1194,50 @@ TEST(Transport, ChaosLinkDifferentialConvergesBitIdentically) {
   srv::Server reference(tiny_server(gen));
   const srv::ServeResult ref = reference.serve(ref_feed);
 
-  // Every link-fault kind, at offsets the tiny feed is sure to reach:
-  // a duplicate + stall + corruption on the decisions leg, a reset and
-  // a corruption on the feed leg (the latter fences the connection).
+  // Every link-fault kind. Offsets count each direction's bytes across
+  // reconnects, so the plan is laid out to make what each fault hits
+  // independent of timing:
+  //  * feed leg: a reset an eighth of the way in (the server keeps the
+  //    records before it, so the replay starts at a nonzero cursor), then
+  //    a corruption a sixteenth of the feed into that replay, which
+  //    fences the connection;
+  //  * decisions leg: a duplicate, a stall and a corruption at 35-45% of
+  //    the feed's size. Before the last connection that leg carries at
+  //    most the decisions for the records ahead of the fence (under a
+  //    fifth of the feed) and a few hundred bytes of handshakes, busy
+  //    refusals and the error frame. The last connection then carries
+  //    every later decision, past 80% of the feed. So all three land on
+  //    decision frames of the last connection: the client dedupes the
+  //    duplicated one and skips the garbled one.
+  ASSERT_GT(records.size(), 200u);
+  const double f = static_cast<double>(feed_bytes);
   fault::FaultPlan plan;
   fault::FaultEvent e;
+  e.kind = fault::FaultKind::kLinkReset;
+  e.start = std::floor(f / 8);
+  plan.add(e);
+  e = fault::FaultEvent{};
+  e.kind = fault::FaultKind::kLinkCorrupt;
+  e.port = 0;
+  e.start = std::floor(f / 8 + f / 16);
+  e.count = 4;
+  plan.add(e);
+  e = fault::FaultEvent{};
   e.kind = fault::FaultKind::kLinkDup;
-  e.start = 500.0;
+  e.start = std::floor(0.35 * f);
   e.count = 2;
   plan.add(e);
   e = fault::FaultEvent{};
   e.kind = fault::FaultKind::kLinkStall;
   e.port = 1;
-  e.start = 1000.0;
+  e.start = std::floor(0.40 * f);
   e.duration = 0.02;
   plan.add(e);
   e = fault::FaultEvent{};
   e.kind = fault::FaultKind::kLinkCorrupt;
   e.port = 1;
-  e.start = 2000.0;
+  e.start = std::floor(0.45 * f);
   e.count = 3;
-  plan.add(e);
-  e = fault::FaultEvent{};
-  e.kind = fault::FaultKind::kLinkReset;
-  e.start = static_cast<double>(feed_bytes / 3);
-  plan.add(e);
-  e = fault::FaultEvent{};
-  e.kind = fault::FaultKind::kLinkCorrupt;
-  e.port = 0;
-  e.start = static_cast<double>(feed_bytes / 2);
-  e.count = 4;
   plan.add(e);
 
   TempDir tmp;
@@ -1160,7 +1261,7 @@ TEST(Transport, ChaosLinkDifferentialConvergesBitIdentically) {
   const srv::ServeResult res = server.serve(transport);
   producer.join();
   chaos.stop();
-  ASSERT_FALSE(run.error) << "client threw";
+  ASSERT_FALSE(run.error) << "client threw: " << what(run.error);
 
   // Every scripted fault actually fired...
   const fault::ChaosLinkStats& stats = chaos.stats();
@@ -1168,8 +1269,9 @@ TEST(Transport, ChaosLinkDifferentialConvergesBitIdentically) {
   EXPECT_EQ(stats.corrupted_bytes, 7);
   EXPECT_EQ(stats.stalls, 1);
   EXPECT_EQ(stats.dup_frames, 2);
-  EXPECT_GE(run.result.reconnects, 2);  // the reset + the two corruptions
+  EXPECT_GE(run.result.reconnects, 2);  // the reset + the fence
   EXPECT_GE(run.result.duplicates, 2u);
+  EXPECT_GE(run.result.corrupt_frames, 1);
   EXPECT_GE(transport.connections_fenced(), 1);
 
   // ...and the deterministic counters still match the clean run exactly.
