@@ -100,7 +100,8 @@ inline bool parse_common(CliParser& cli, int argc, const char* const* argv) {
                "bit-identical at any value (see docs/PARALLEL.md)")
       .flag("profile", false,
             "time hot-path phases (decide, lifecycle, calendar, repack, "
-            "checkpoint), count allocations, and print a breakdown "
+            "drain, rate solve, checkpoint), count allocations, and print "
+            "a breakdown "
             "(see docs/PERF.md)")
       .text("profile-out", "",
             "write the basrpt-profile-v1 JSON breakdown here (implies "

@@ -76,10 +76,14 @@ if [[ "$RUN_TIER2" == 1 ]]; then
   # port masking, re-arrival rebirth, and the stall watchdog across two
   # schedulers end to end — exactly the churny code paths sanitizers are
   # good at catching. Short horizon keeps it a soak, not a benchmark.
+  # --paranoid audits the byte and flow ledgers at every sample, so the
+  # in-place drain of VOQ heads is checked under rate clamps and
+  # re-arrivals.
   echo "==== tier 2: fault-injection soak (ASan/UBSan) ===="
   ./build-asan/bench/bench_fault_resilience --horizon 0.5 --watchdog 120
   ./build-asan/bench/bench_fig5_stability \
-      --horizon 0.4 --fault-plan=random --fault-seed 7 --watchdog 120
+      --horizon 0.4 --fault-plan=random --fault-seed 7 --watchdog 120 \
+      --paranoid
 
   # Kill-and-resume soak: SIGKILL a checkpointing bench the moment its
   # first checkpoint lands, resume from the newest file, and require the

@@ -424,6 +424,8 @@ class Engine {
       return;
     }
     last_advance_ = now;
+    perf::ScopedPhase phase(obs::Phase::kFluidAdvance);
+    std::uint64_t drained = 0;
     const queueing::FlowStore& store = voqs_.store();
     for (const Serving& s : serving_) {
       // The generation-stamped ref distinguishes "this flow, still
@@ -436,6 +438,7 @@ class Engine {
       if (drained_bytes <= 0) {
         continue;
       }
+      ++drained;
       const std::int64_t remaining = store.remaining(s.ref.slot);
       const Bytes amount{std::min(drained_bytes, remaining)};
       if (amount.count == remaining) {
@@ -450,6 +453,7 @@ class Engine {
         result_.delivered += amount;
       }
     }
+    phase.add_work(drained);
   }
 
   /// Fills decision_.selected with the flows the next service period
@@ -504,25 +508,15 @@ class Engine {
       return;
     }
 
-    // Max-min fair rates over the fabric for the serving set. The
-    // demand buffer only ever grows (entries past to_serve.size() are
-    // stale but unread), so the inner path vectors — and the solver's
-    // scratch — are reused verbatim: zero allocations once warmed.
-    if (demands_.size() < to_serve.size()) {
-      demands_.resize(to_serve.size());
-    }
     serving_slots_.clear();
-    for (std::size_t k = 0; k < to_serve.size(); ++k) {
-      const FlowId id = to_serve[k];
+    serving_pairs_.clear();
+    for (const FlowId id : to_serve) {
       const queueing::FlowSlot slot = voqs_.slot_of(id);
       const queueing::Flow& f = voqs_.flow_at(slot);
-      fabric_.route_into(f.src, f.dst, static_cast<std::uint64_t>(id),
-                         demands_[k].path);
-      demands_[k].cap = Rate{0.0};
       serving_slots_.push_back(slot);
+      serving_pairs_.push_back({f.src, f.dst});
     }
-    solver_.solve_into(demands_.data(), to_serve.size(),
-                       fabric_.capacities(), rates_);
+    assign_rates();
 
     SimTime earliest{std::numeric_limits<double>::infinity()};
     FlowId earliest_flow = queueing::kInvalidFlow;
@@ -537,9 +531,8 @@ class Engine {
         // mode masks dark ports out of the candidates, but fair sharing
         // selects every flow, so zero-rate flows are parked rather than
         // asserted against.
-        const queueing::Flow& f = voqs_.flow_at(slot);
-        rate *= std::min(injector_->port_factor(f.src),
-                         injector_->port_factor(f.dst));
+        rate *= std::min(injector_->port_factor(serving_pairs_[k].src),
+                         injector_->port_factor(serving_pairs_[k].dst));
         if (rate <= 0.0) {
           continue;
         }
@@ -567,6 +560,44 @@ class Engine {
                         });
   }
 
+  /// Max-min fair rates over the fabric for the serving set, into
+  /// rates_. A matching on the paper's fabrics is edge-bound: every flow
+  /// gets the host-link rate, and topo::EdgeBoundCheck says so without
+  /// routing. Other serving sets are routed and solved.
+  void assign_rates() {
+    perf::ScopedPhase phase(obs::Phase::kRateSolve);
+    if (config_.service_model == ServiceModel::kMatchingScheduler &&
+        edge_bound_.rates_into(serving_pairs_, rates_)) {
+      if (config_.validate_decisions) {
+        std::vector<Rate> solved;
+        solve_rates(solved);
+        BASRPT_ASSERT(solved == rates_,
+                      "edge-bound rates differ from the max-min solve");
+      }
+      return;
+    }
+    phase.add_work(serving_pairs_.size());
+    solve_rates(rates_);
+  }
+
+  /// Routes every serving flow and runs progressive filling into `out`.
+  /// The demand buffer only ever grows (entries past the serving set are
+  /// stale but unread), so the inner path vectors — and the solver's
+  /// scratch — are reused verbatim: zero allocations once warmed.
+  void solve_rates(std::vector<Rate>& out) {
+    const std::size_t n = serving_pairs_.size();
+    if (demands_.size() < n) {
+      demands_.resize(n);
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      fabric_.route_into(serving_pairs_[k].src, serving_pairs_[k].dst,
+                         static_cast<std::uint64_t>(decision_.selected[k]),
+                         demands_[k].path);
+      demands_[k].cap = Rate{0.0};
+    }
+    solver_.solve_into(demands_.data(), n, fabric_.capacities(), out);
+  }
+
   FlowSimConfig config_;
   sched::Scheduler& scheduler_;
   workload::TrafficSource* traffic_;  // null in online mode
@@ -578,9 +609,11 @@ class Engine {
   sim::Engine events_;
   sched::Decision decision_;
   std::vector<Serving> serving_;
-  std::vector<topo::FlowDemand> demands_;  // grow-only; see reschedule()
+  std::vector<topo::FlowDemand> demands_;  // grow-only; see solve_rates()
   std::vector<queueing::FlowSlot> serving_slots_;  // reschedule scratch
+  std::vector<topo::HostPair> serving_pairs_;      // reschedule scratch
   std::vector<Rate> rates_;
+  topo::EdgeBoundCheck edge_bound_{fabric_};
   topo::MaxMinSolver solver_;
   std::unique_ptr<fault::FaultInjector> injector_;  // null = fault-free
   fault::Watchdog watchdog_;

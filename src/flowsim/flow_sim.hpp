@@ -49,7 +49,9 @@ struct FlowSimConfig {
   double packet_bytes = 1500.0;  // packet unit for scheduler keys
   PortId watched_src = 0;        // VOQ traced as "queue length at a port"
   PortId watched_dst = 1;
-  bool validate_decisions = false;  // assert crossbar constraint per event
+  /// Test-only checks per event: the decision is a crossbar matching,
+  /// and edge-bound rates equal route_into + solve_into's bit for bit.
+  bool validate_decisions = false;
   /// Minimum gap between decision recomputations triggered by arrivals.
   /// The paper updates on *every* arrival and completion, which is the
   /// cost Sec. IV-C worries about; a positive gap batches arrival-driven

@@ -36,6 +36,10 @@ const char* phase_name(Phase phase) {
       return "match_sort";
     case Phase::kRunChunk:
       return "run_chunk";
+    case Phase::kFluidAdvance:
+      return "fluid_advance";
+    case Phase::kRateSolve:
+      return "rate_solve";
     case Phase::kCount:
       break;
   }

@@ -165,6 +165,8 @@ enum class Phase : std::uint8_t {
   kScoreKernel,      // simd score-key computation over candidate lanes
   kMatchSort,        // GreedyMatcher candidate ordering (bucket/radix)
   kRunChunk,         // one sim::Engine::run_until call
+  kFluidAdvance,     // flowsim's drain of the serving flows between events
+  kRateSolve,        // flowsim's rate assignment for a new serving set
   kCount
 };
 constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kCount);

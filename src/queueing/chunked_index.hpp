@@ -61,6 +61,15 @@ class ChunkedIndex {
     }
   }
 
+  /// Lowers the front entry's key in place. A smaller key keeps the
+  /// front the smallest (key, id), so the order needs no erase/insert.
+  void lower_front_key(Key key) {
+    BASRPT_ASSERT(size_ > 0, "lower_front_key() on empty index");
+    Entry& head = chunks_.front().front();
+    BASRPT_ASSERT(!(head.key < key), "front key may only be lowered");
+    head.key = key;
+  }
+
   /// Removes the entry with exactly this (key, id); asserts presence.
   void erase(Key key, FlowId id) {
     BASRPT_ASSERT(size_ > 0, "erase from empty index");

@@ -99,7 +99,7 @@ bool VoqMatrix::drain_slot(FlowSlot slot, Bytes amount) {
 
   const std::size_t idx = index(flow.src, flow.dst);
   VoqBucket& bucket = voqs_[idx];
-  bucket.by_remaining.erase(flow.remaining.count, flow.id);
+  const std::int64_t old_key = flow.remaining.count;
 
   store_.set_remaining(slot, flow.remaining - drained);
   bucket.backlog -= drained;
@@ -109,6 +109,7 @@ bool VoqMatrix::drain_slot(FlowSlot slot, Bytes amount) {
   total_backlog_ -= drained;
 
   if (flow.done()) {
+    bucket.by_remaining.erase(old_key, flow.id);
     bucket.by_arrival.erase(flow.arrival.seconds, flow.id);
     if (bucket.by_remaining.empty()) {
       mark_empty(idx);
@@ -116,7 +117,15 @@ bool VoqMatrix::drain_slot(FlowSlot slot, Bytes amount) {
     store_.erase(slot);
     return true;
   }
-  bucket.by_remaining.insert(flow.remaining.count, flow.id, slot);
+  // The VOQ's head by remaining size stays the head when it shrinks, so
+  // its key is lowered in place. Any other flow (FIFO and MaxWeight serve
+  // those) is erased and re-inserted at its new position.
+  if (bucket.by_remaining.front().id == flow.id) {
+    bucket.by_remaining.lower_front_key(flow.remaining.count);
+  } else {
+    bucket.by_remaining.erase(old_key, flow.id);
+    bucket.by_remaining.insert(flow.remaining.count, flow.id, slot);
+  }
   return false;
 }
 

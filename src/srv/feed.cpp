@@ -203,6 +203,12 @@ std::vector<FeedRecord> read_feed(std::istream& in) {
   while (auto rec = reader.next()) {
     records.push_back(*rec);
   }
+  // A recording cut at a line boundary would otherwise replay as a
+  // shorter workload.
+  if (!reader.clean_end()) {
+    throw ParseError(kFeedParseContext, reader.line() + 1,
+                     "feed ended without its 'end' line");
+  }
   return records;
 }
 

@@ -185,6 +185,9 @@ class FeedWriter {
 void write_feed(std::ostream& out, const std::vector<FeedRecord>& records);
 void write_feed_file(const std::string& path,
                      const std::vector<FeedRecord>& records);
+/// Every record of a whole feed. Unlike a FeedReader, which the server
+/// drains to a bare EOF, these throw ParseError when the `end` line is
+/// missing.
 std::vector<FeedRecord> read_feed(std::istream& in);
 std::vector<FeedRecord> read_feed_file(const std::string& path);
 

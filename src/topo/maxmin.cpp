@@ -1,11 +1,16 @@
 #include "topo/maxmin.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "common/assert.hpp"
 
 namespace basrpt::topo {
+
+namespace {
+constexpr double kEps = 1e-6;  // bits/s; capacities are ~1e9-1e10
+}  // namespace
 
 std::vector<Rate> max_min_rates(const std::vector<FlowDemand>& demands,
                                 const std::vector<Rate>& capacities) {
@@ -23,8 +28,6 @@ void MaxMinSolver::solve_into(const FlowDemand* demands, std::size_t n_flows,
   if (n_flows == 0) {
     return;
   }
-
-  constexpr double kEps = 1e-6;  // bits/s; capacities are ~1e9-1e10
 
   residual_.resize(n_links);
   for (std::size_t l = 0; l < n_links; ++l) {
@@ -108,6 +111,59 @@ void MaxMinSolver::solve_into(const FlowDemand* demands, std::size_t n_flows,
     BASRPT_ASSERT(newly_frozen > 0 || remaining == 0,
                   "progressive filling made no progress");
   }
+}
+
+EdgeBoundCheck::EdgeBoundCheck(const Fabric& fabric)
+    : host_link_(fabric.config().host_link),
+      hosts_(fabric.hosts()),
+      racks_(fabric.config().racks),
+      hosts_per_rack_(fabric.config().hosts_per_rack),
+      spray_(fabric.config().routing == RoutingMode::kFluidSpray),
+      host_busy_(static_cast<std::size_t>(2 * fabric.hosts())),
+      rack_flows_(static_cast<std::size_t>(2 * racks_)) {
+  // A ToR link carrying k flows has weight share + ... + share (k terms,
+  // in solve_into's order) and bounds the first round at core / weight.
+  // The weight grows with k, so the bound holds up to some k and no
+  // further.
+  const FabricConfig& config = fabric.config();
+  const double share = 1.0 / static_cast<double>(config.cores);
+  double weight = 0.0;
+  for (std::int32_t k = 1; k <= hosts_per_rack_; ++k) {
+    weight += share;
+    if (weight > kEps && config.core_link.bits_per_sec / weight <
+                             host_link_.bits_per_sec) {
+      break;
+    }
+    max_rack_flows_ = k;
+  }
+}
+
+bool EdgeBoundCheck::rates_into(std::span<const HostPair> pairs,
+                                std::vector<Rate>& rates) {
+  if (!spray_) {
+    return false;
+  }
+  std::fill(host_busy_.begin(), host_busy_.end(), 0);
+  std::fill(rack_flows_.begin(), rack_flows_.end(), 0);
+  for (const HostPair& p : pairs) {
+    char& up = host_busy_[static_cast<std::size_t>(p.src)];
+    char& down = host_busy_[static_cast<std::size_t>(hosts_ + p.dst)];
+    if (up != 0 || down != 0) {
+      return false;
+    }
+    up = 1;
+    down = 1;
+    const std::int32_t src_rack = p.src / hosts_per_rack_;
+    const std::int32_t dst_rack = p.dst / hosts_per_rack_;
+    if (src_rack != dst_rack &&
+        (++rack_flows_[static_cast<std::size_t>(src_rack)] > max_rack_flows_ ||
+         ++rack_flows_[static_cast<std::size_t>(racks_ + dst_rack)] >
+             max_rack_flows_)) {
+      return false;
+    }
+  }
+  rates.assign(pairs.size(), host_link_);
+  return true;
 }
 
 }  // namespace basrpt::topo

@@ -8,6 +8,8 @@
 // paper's) uses between scheduling events.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/units.hpp"
@@ -45,6 +47,43 @@ class MaxMinSolver {
   std::vector<double> residual_;
   std::vector<double> weight_;
   std::vector<char> frozen_;
+};
+
+/// Endpoints of one served flow.
+struct HostPair {
+  HostId src;
+  HostId dst;
+};
+
+/// solve_into's answer for the common case, found without routing.
+/// On a fluid-spray fabric, progressive filling over a set of flows ends
+/// in its first round with every flow frozen at exactly `host_link` when
+///   * every host up-link and down-link carries at most one flow, and
+///   * no ToR link's weight, its flows' 1/cores shares summed as
+///     solve_into sums them, divides that link's capacity below the host
+///     rate.
+/// The host links then bind first, and each flow crosses one. ECMP
+/// fabrics, fair sharing's shared host links and a binding core link
+/// fail the check; their rates need route_into and solve_into.
+class EdgeBoundCheck {
+ public:
+  explicit EdgeBoundCheck(const Fabric& fabric);
+
+  /// When the flows `pairs` are edge-bound, sets `rates` to `host_link`
+  /// for each (bit-identical to solve_into over their routes) and
+  /// returns true. Otherwise returns false and leaves `rates` alone.
+  bool rates_into(std::span<const HostPair> pairs, std::vector<Rate>& rates);
+
+ private:
+  Rate host_link_;
+  std::int32_t hosts_;
+  std::int32_t racks_;
+  std::int32_t hosts_per_rack_;
+  bool spray_;
+  /// Most cross-rack flows one ToR link may carry and stay edge-bound.
+  std::int32_t max_rack_flows_ = 0;
+  std::vector<char> host_busy_;           // [up | down] per host
+  std::vector<std::int32_t> rack_flows_;  // [up | down] per rack
 };
 
 }  // namespace basrpt::topo

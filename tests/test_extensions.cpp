@@ -3,6 +3,7 @@
 // the exact 2x2 DTMC solver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -251,6 +252,34 @@ TEST(TraceIo, TruncatedFileRejected) {
   {
     std::ofstream out(path);
     out << srv::kFeedMagic << "\nflow,1.0,0,1,100,q\nflow,2.0,0,1,1";
+  }
+  EXPECT_THROW(srv::read_feed_file(path), ParseError);
+}
+
+TEST(TraceIo, RecordingCutAtALineBoundaryRejected) {
+  // A recording that lost its last record and its `end` line is still
+  // made of whole lines. It must not replay as a shorter workload.
+  std::ostringstream written;
+  srv::write_feed(written, sample_recording());
+  std::string text = written.str();
+  const std::size_t end_line = text.rfind("end\n");
+  ASSERT_EQ(end_line + 4, text.size());
+  text.resize(text.rfind('\n', end_line - 2) + 1);
+  ASSERT_EQ(std::count(text.begin(), text.end(), '\n'), 4);  // 2 records
+
+  std::istringstream in(text);
+  try {
+    srv::read_feed(in);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 5u);
+    EXPECT_NE(std::string(e.what()).find("'end' line"), std::string::npos)
+        << e.what();
+  }
+  const std::string path = ::testing::TempDir() + "/basrpt_cut.feed";
+  {
+    std::ofstream out(path);
+    out << text;
   }
   EXPECT_THROW(srv::read_feed_file(path), ParseError);
 }

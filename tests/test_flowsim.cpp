@@ -322,6 +322,98 @@ TEST(FlowSimObs, MatchSortWorkCountsOnlyChangedCandidates) {
   }
 }
 
+TEST(FlowSimObs, EdgeBoundRatesMatchTheSolverAtEveryDecision) {
+  // validate_decisions also routes and solves every edge-bound decision
+  // and throws if the rates differ. On the quick fabric at load 0.95
+  // every decision is edge-bound, so rate_solve hands no flow to the
+  // solver; the random fault plan adds rate clamps, masked ports,
+  // dropped decisions and re-arrivals. On two cores with rack
+  // up-links of 20 Gbps instead of 30, a matching that sends five or six
+  // flows out of one rack is core-bound and goes to the solver.
+  enum class Variant { kPlain, kFaults, kThinCore };
+  for (const Variant variant :
+       {Variant::kPlain, Variant::kFaults, Variant::kThinCore}) {
+    for (const bool basrpt : {false, true}) {
+      FlowSimConfig config;
+      config.fabric = topo::small_fabric(4, 6, 3);
+      if (variant == Variant::kThinCore) {
+        config.fabric = topo::small_fabric(4, 6, 2);
+        config.fabric.core_link = gbps(20.0);
+      }
+      config.horizon = seconds(0.2);
+      config.validate_decisions = true;
+      const std::int32_t hosts = config.fabric.hosts();
+      fault::RandomFaultSpec spec;
+      spec.ports = hosts;
+      spec.horizon = config.horizon.seconds;
+      const fault::FaultPlan plan = fault::FaultPlan::randomized(spec, 7);
+      if (variant == Variant::kFaults) {
+        config.fault_plan = &plan;
+      }
+      sched::SrptScheduler srpt;
+      sched::FastBasrptScheduler fast(2500.0 * hosts / 144.0);
+      sched::Scheduler& scheduler =
+          basrpt ? static_cast<sched::Scheduler&>(fast) : srpt;
+      Rng rng(11);
+      auto traffic =
+          workload::paper_mix(0.95, 0.10, config.fabric.racks,
+                              config.fabric.hosts_per_rack,
+                              config.fabric.host_link, config.horizon, rng);
+      obs::Registry registry;
+      const bool was_enabled = obs::enabled();
+      obs::set_enabled(true);
+      FlowSimResult result(0, 1);
+      {
+        const obs::ScopedRegistryBind bind(&registry);
+        result = run_flow_sim(config, scheduler, *traffic);
+      }
+      obs::set_enabled(was_enabled);
+
+      const std::string label =
+          scheduler.name() + " variant " +
+          std::to_string(static_cast<int>(variant));
+      EXPECT_GT(result.flows_completed, 1000) << label;
+      if (variant == Variant::kFaults) {
+        EXPECT_GT(result.fault_stats.transitions, 0) << label;
+      }
+      const obs::PhaseStats& solve = registry.phase(obs::Phase::kRateSolve);
+      const std::uint64_t selected =
+          registry.histograms().at("sched.matching_size").sum();
+      EXPECT_GT(solve.calls, 1000u) << label;
+      if (variant == Variant::kThinCore) {
+        EXPECT_GT(solve.work, 0u) << label;
+        EXPECT_LT(solve.work, selected) << label;
+      } else {
+        EXPECT_EQ(solve.work, 0u) << label;
+      }
+      EXPECT_GT(registry.phase(obs::Phase::kFluidAdvance).work, solve.calls)
+          << label;
+    }
+  }
+}
+
+TEST(FlowSimObs, RateSolveWorkCountsTheSolvedFlows) {
+  // ECMP is never edge-bound: every serving flow goes to the solver.
+  auto config = tiny_config(0.2);
+  config.fabric.routing = topo::RoutingMode::kEcmpHash;
+  sched::SrptScheduler srpt;
+  Rng rng(2);
+  auto traffic = workload::paper_mix(0.7, 0.2, 2, 4, gbps(10.0),
+                                     seconds(0.2), rng);
+  obs::Registry registry;
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  {
+    const obs::ScopedRegistryBind bind(&registry);
+    run_flow_sim(config, srpt, *traffic);
+  }
+  obs::set_enabled(was_enabled);
+  const std::uint64_t selected =
+      registry.histograms().at("sched.matching_size").sum();
+  ASSERT_GT(selected, 0u);
+  EXPECT_EQ(registry.phase(obs::Phase::kRateSolve).work, selected);
+}
+
 TEST(FlowSimResult, ZeroHorizonThroughputIsZeroNotNan) {
   FlowSimResult result(0, 1);
   result.delivered = Bytes{1000};

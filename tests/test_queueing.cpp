@@ -227,6 +227,8 @@ TEST(VoqMatrix, RandomChurnMatchesMapSetOracle) {
   Rng rng(2024);
   FlowId next_id = 1;
   std::vector<FlowId> live;
+  int head_drains = 0;
+  int other_drains = 0;
 
   for (int step = 0; step < 4000; ++step) {
     const std::int64_t op = rng.uniform_int(0, 9);
@@ -241,11 +243,23 @@ TEST(VoqMatrix, RandomChurnMatchesMapSetOracle) {
       oracle.add(f);
       live.push_back(f.id);
     } else if (op < 9) {
-      // Drain a random live flow, sometimes through the slot-addressed
-      // hot path, sometimes to completion.
-      const std::size_t pick = static_cast<std::size_t>(
+      // Drain a live flow, sometimes through the slot-addressed hot path,
+      // sometimes to completion. Mostly the head of a random flow's VOQ,
+      // which SRPT-like schedulers serve and drain_slot lowers in place;
+      // otherwise the flow itself, which is re-inserted.
+      std::size_t pick = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      if (rng.bernoulli(0.75)) {
+        const Flow& f = voqs.flow(live[pick]);
+        pick = static_cast<std::size_t>(
+            std::find(live.begin(), live.end(),
+                      voqs.shortest_in_voq(f.src, f.dst)) -
+            live.begin());
+      }
       const FlowId id = live[pick];
+      const Flow& f = voqs.flow(id);
+      const bool head = voqs.shortest_in_voq(f.src, f.dst) == id;
+      (head ? head_drains : other_drains) += 1;
       const Bytes amount{rng.bernoulli(0.3)
                              ? voqs.flow(id).remaining.count
                              : rng.uniform_int(1, 2000)};
@@ -312,6 +326,47 @@ TEST(VoqMatrix, RandomChurnMatchesMapSetOracle) {
       }
     }
   }
+  // Both drain paths ran, the in-place head path in most drain steps.
+  EXPECT_GT(head_drains, 2 * other_drains);
+  EXPECT_GT(other_drains, 100);
+}
+
+// ----------------------------------------------------------- ChunkedIndex
+
+TEST(ChunkedIndex, LoweredFrontAloneInItsChunkKeepsTheOrder) {
+  // 48 entries split into two chunks of 24; erasing the first chunk's
+  // other 23 entries leaves the front alone in its chunk, where it is
+  // also that chunk's back, the bound chunk searches compare against.
+  ChunkedIndex<std::int64_t> index;
+  for (FlowId id = 1; id <= 48; ++id) {
+    index.insert(100 * id, id, static_cast<FlowSlot>(id));
+  }
+  for (FlowId id = 2; id <= 24; ++id) {
+    index.erase(100 * id, id);
+  }
+  ASSERT_EQ(index.size(), 25u);
+  index.lower_front_key(50);
+  EXPECT_EQ(index.front().key, 50);
+  EXPECT_EQ(index.front().id, 1);
+
+  // Inserts on either side of the lowered key, and a tie broken by id,
+  // land in (key, id) order; the lowered entry is found under its new key.
+  index.insert(40, 60, 60);
+  index.insert(70, 61, 61);
+  index.insert(50, 62, 62);
+  std::vector<std::pair<std::int64_t, FlowId>> order;
+  index.for_each([&](const ChunkedIndex<std::int64_t>::Entry& e) {
+    order.emplace_back(e.key, e.id);
+  });
+  ASSERT_EQ(order.size(), 28u);
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  EXPECT_EQ(order[1], std::make_pair(std::int64_t{50}, FlowId{1}));
+  EXPECT_EQ(order[2], std::make_pair(std::int64_t{50}, FlowId{62}));
+  index.erase(40, 60);
+  index.lower_front_key(10);
+  index.erase(10, 1);
+  EXPECT_EQ(index.front().id, 62);
+  EXPECT_EQ(index.size(), 26u);
 }
 
 TEST(FlowStore, RefInvalidatedByEraseAndRecycle) {

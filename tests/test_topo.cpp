@@ -1,9 +1,14 @@
 // Unit tests for src/topo: fabric layout, routing, max-min allocation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <numeric>
 #include <set>
+#include <vector>
 
 #include "common/assert.hpp"
+#include "common/rng.hpp"
 #include "topo/maxmin.hpp"
 #include "topo/topology.hpp"
 
@@ -244,6 +249,120 @@ TEST(MaxMin, ParetoOptimalityEveryFlowHitsABottleneck) {
 TEST(MaxMin, EmptyDemandsYieldEmptyRates) {
   const Fabric fabric(small_fabric(2, 4, 2));
   EXPECT_TRUE(max_min_rates({}, fabric.capacities()).empty());
+}
+
+// ------------------------------------------------------------ edge-bound
+
+/// solve_into over the routes of `pairs` (ECMP keys 0, 1, ...).
+std::vector<Rate> solved_rates(const Fabric& fabric,
+                               const std::vector<HostPair>& pairs) {
+  std::vector<FlowDemand> demands;
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    demands.push_back({fabric.route(pairs[k].src, pairs[k].dst, k), Rate{0}});
+  }
+  std::vector<Rate> rates;
+  MaxMinSolver solver;
+  solver.solve_into(demands.data(), demands.size(), fabric.capacities(),
+                    rates);
+  return rates;
+}
+
+bool bit_identical(const std::vector<Rate>& a, const std::vector<Rate>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(Rate)) == 0);
+}
+
+TEST(EdgeBound, RandomMatchingsGetTheSolversRatesBitForBit) {
+  // The 1:1 fabrics every bench runs on: the quick fabric's ToR weight
+  // 6 x (1/3) sums to 1.9999999999999998 and the paper fabric's 12 x
+  // (1/3) to exactly 4, and both leave the host links binding. So every
+  // matching is edge-bound, and its rates are solve_into's to the bit.
+  for (const FabricConfig& config :
+       {small_fabric(4, 6, 3), paper_fabric(), small_fabric(2, 4, 2)}) {
+    const Fabric fabric(config);
+    EdgeBoundCheck check(fabric);
+    const std::int32_t hosts = fabric.hosts();
+    Rng rng(static_cast<std::uint64_t>(hosts));
+    std::vector<HostId> dsts(static_cast<std::size_t>(hosts));
+    std::vector<Rate> rates;
+    for (int trial = 0; trial < 1200; ++trial) {
+      // A random partial permutation without fixed points. The first
+      // trial is the full rack shift: every rack sends and receives on
+      // all of its host links, all of it cross-rack.
+      std::vector<HostPair> pairs;
+      if (trial == 0) {
+        for (HostId h = 0; h < hosts; ++h) {
+          pairs.push_back({h, (h + config.hosts_per_rack) % hosts});
+        }
+      } else {
+        std::iota(dsts.begin(), dsts.end(), 0);
+        std::shuffle(dsts.begin(), dsts.end(), rng);
+        const double density = rng.uniform(0.05, 1.0);
+        for (HostId h = 0; h < hosts; ++h) {
+          if (dsts[static_cast<std::size_t>(h)] != h &&
+              rng.bernoulli(density)) {
+            pairs.push_back({h, dsts[static_cast<std::size_t>(h)]});
+          }
+        }
+      }
+      ASSERT_TRUE(check.rates_into(pairs, rates))
+          << "hosts=" << hosts << " trial=" << trial;
+      ASSERT_TRUE(bit_identical(rates, solved_rates(fabric, pairs)))
+          << "hosts=" << hosts << " trial=" << trial;
+    }
+  }
+}
+
+TEST(EdgeBound, EcmpFallsBack) {
+  FabricConfig config = small_fabric(2, 4, 2);
+  config.routing = RoutingMode::kEcmpHash;
+  const Fabric fabric(config);
+  EdgeBoundCheck check(fabric);
+  std::vector<Rate> rates;
+  EXPECT_FALSE(check.rates_into(std::vector<HostPair>{{0, 5}}, rates));
+  EXPECT_FALSE(check.rates_into(std::vector<HostPair>{{0, 1}}, rates));
+}
+
+TEST(EdgeBound, TwoFlowsOnOneHostLinkFallBack) {
+  const Fabric fabric(small_fabric(2, 4, 2));
+  EdgeBoundCheck check(fabric);
+  std::vector<Rate> rates;
+  // Shared up-link, shared down-link: fair sharing's serving sets.
+  EXPECT_FALSE(check.rates_into(std::vector<HostPair>{{0, 1}, {0, 5}}, rates));
+  EXPECT_FALSE(check.rates_into(std::vector<HostPair>{{0, 5}, {2, 5}}, rates));
+  EXPECT_TRUE(rates.empty());  // untouched on a fallback
+  // The check holds no state over from a failed call.
+  EXPECT_TRUE(check.rates_into(std::vector<HostPair>{{0, 5}, {2, 1}}, rates));
+  EXPECT_EQ(rates, std::vector<Rate>(2, gbps(10.0)));
+}
+
+TEST(EdgeBound, BindingCoreLinkFallsBack) {
+  // The rack up-links carry a little less than a full rack of host
+  // links: hosts_per_rack x host_link / cores is 20 Gbps here.
+  FabricConfig config = small_fabric(2, 6, 3);
+  config.core_link = gbps(19.9);
+  const Fabric fabric(config);
+  EdgeBoundCheck check(fabric);
+  std::vector<Rate> rates;
+  std::vector<HostPair> pairs;
+  for (HostId h = 0; h < 5; ++h) {
+    pairs.push_back({h, h + 6});
+  }
+  // Five senders still fit the core: edge-bound, as solve_into agrees.
+  ASSERT_TRUE(check.rates_into(pairs, rates));
+  EXPECT_TRUE(bit_identical(rates, solved_rates(fabric, pairs)));
+  // The sixth makes the core link bind below the host rate.
+  pairs.push_back({5, 11});
+  EXPECT_FALSE(check.rates_into(pairs, rates));
+  for (const Rate r : solved_rates(fabric, pairs)) {
+    EXPECT_LT(r, config.host_link);
+  }
+  // Intra-rack flows never touch the core.
+  const std::vector<HostPair> local = {{0, 1}, {1, 2}, {2, 3},
+                                       {3, 4}, {4, 5}, {5, 0}};
+  ASSERT_TRUE(check.rates_into(local, rates));
+  EXPECT_TRUE(bit_identical(rates, solved_rates(fabric, local)));
 }
 
 }  // namespace
