@@ -84,6 +84,10 @@ if [[ "$RUN_TIER2" == 1 ]]; then
   ./build-asan/bench/bench_fig5_stability \
       --horizon 0.4 --fault-plan=random --fault-seed 7 --watchdog 120 \
       --paranoid
+  # The size-noise decorator hands its inner scheduler a change-list
+  # pointer it borrows from the candidate cache: run it under ASan too.
+  ./build-asan/bench/bench_ablation_noise --horizon 0.3 --paranoid \
+      --watchdog 120
 
   # Kill-and-resume soak: SIGKILL a checkpointing bench the moment its
   # first checkpoint lands, resume from the newest file, and require the

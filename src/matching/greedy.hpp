@@ -66,19 +66,12 @@ struct LaneChanges {
 /// Anything else (an untracked view, another source, a skipped seq)
 /// rebuilds the order from scratch.
 ///
-/// Sorting strategy, chosen by the number of entries sorted:
-///  * small sets: comparison-sort compact 16-byte records;
-///  * large sets: a value-linear bucket scatter — a monotone bucket map
-///    fitted to ~128 strided score samples (one linear piece, or two
-///    pieces split at the dominant sample gap so bimodal keys like
-///    threshold-SRPT's class offset still spread evenly) — followed by
-///    one adaptive insertion sweep (O(n + inversions)); buckets the
-///    distribution overloads are pre-sorted, unsampled outliers clamp
-///    into the edge buckets, and distributions no piecewise-linear map
-///    can spread (zero/infinite range, heavy duplicate mass) fall back
-///    to the LSD radix sort over coarse 32-bit score keys.
-/// Either way the accept scan stops once min(n_left, n_right) winners
-/// are accepted — every later candidate would be rejected anyway. Input
+/// Sorting: rebuilds and changed entries go through one sort, a
+/// comparison sort of compact 16-byte (score, position, ports) records
+/// by (score, payload). Between events only the served flows' entries
+/// change, so the sets it sorts are small; a rebuild sorts all `n`.
+/// The accept scan stops once min(n_left, n_right) winners are
+/// accepted — every later candidate would be rejected anyway. Input
 /// lanes are never reordered.
 class GreedyMatcher {
  public:
@@ -108,14 +101,10 @@ class GreedyMatcher {
                   PortId n_left, PortId n_right,
                   std::vector<std::int64_t>& out);
 
-  /// Below this many entries, comparison sort beats the bucket
-  /// histogram setup cost.
-  static constexpr std::size_t kRadixThreshold = 128;
-
  private:
   /// Sort record: the exact score for comparisons, the candidate's
   /// position for payload fetch, and its ports for the accept scan. 16
-  /// bytes, so the scatter, sweep and merge move compact rows.
+  /// bytes, so the sort and the merge move compact rows.
   struct Rec {
     double score;
     std::uint32_t idx;
@@ -123,33 +112,23 @@ class GreedyMatcher {
     std::uint16_t right;
   };
 
-  /// Radix-fallback record: coarse score key (top 32 bits of the
-  /// sortable-double transform) instead of the score. 12 bytes.
-  struct RadixRec {
-    std::uint32_t key;
-    std::uint16_t left;
-    std::uint16_t right;
-    std::uint32_t idx;
-  };
+  /// The matcher's order: score, then payload. Payloads are read only
+  /// on a score tie.
+  static bool before(const Rec& a, const Rec& b, const std::int64_t* payload);
 
-  /// Sorts the `n` lane entries into `recs` in exact (score, payload)
-  /// order, dispatching on n; records carry lane positions.
-  void sort_recs(const double* score, const PortId* left, const PortId* right,
-                 const std::int64_t* payload, std::size_t n,
-                 std::vector<Rec>& recs);
+  /// The record of lane position `i`.
+  static Rec rec_at(const double* score, const PortId* left,
+                    const PortId* right, std::uint32_t i);
 
-  /// Sorts the `n` entries into `recs` in exact (score, payload) order
-  /// via the sampled piecewise-linear bucket scatter. Returns false when
-  /// the distribution defeats the map (caller then radix-sorts instead).
-  bool sort_recs_bucket(const double* score, const PortId* left,
-                        const PortId* right, const std::int64_t* payload,
-                        std::size_t n, std::vector<Rec>& recs);
+  /// The one sort: puts `recs` in exact (score, payload) order, payloads
+  /// read through the records' lane positions.
+  static void sort_recs(std::vector<Rec>& recs, const std::int64_t* payload);
 
-  /// Sorts rrecs_a_ into exact (score, payload) order via LSD radix
-  /// over coarse keys; handles any score distribution.
-  void sort_recs_radix(const double* score, const std::int64_t* payload,
-                       const PortId* left, const PortId* right,
-                       std::size_t n);
+  /// Accepts the ordered entries whose ports are still free into `out`
+  /// and returns the number of entries scanned. A member call of its
+  /// own, so the scan's cursors get registers of their own.
+  std::size_t accept_scan(const std::int64_t* payload, PortId n_left,
+                          PortId n_right, std::vector<std::int64_t>& out);
 
   /// Brings order_ up to the lanes: drops the changed and vanished
   /// positions, sorts the changed ones and merges them in. Returns the
@@ -160,13 +139,7 @@ class GreedyMatcher {
 
   std::vector<char> left_used_;
   std::vector<char> right_used_;
-  std::vector<double> samples_;        // strided score sample, sorted
   std::vector<Rec> recs_;              // the changed entries, sorted
-  std::vector<std::uint32_t> bidx_;
-  std::vector<std::uint32_t> hist_;
-  std::vector<std::uint32_t> starts_;
-  std::vector<RadixRec> rrecs_a_;
-  std::vector<RadixRec> rrecs_b_;
 
   // The kept order and the chain it belongs to.
   std::vector<Rec> order_;
@@ -176,7 +149,7 @@ class GreedyMatcher {
   PortId n_right_ = 0;
   std::vector<char> stale_;            // per position, during update
 
-  // Lane scratch for the AoS adapter and for the changed entries.
+  // Lane scratch for the AoS adapter.
   std::vector<double> score_s_;
   std::vector<PortId> left_s_;
   std::vector<PortId> right_s_;

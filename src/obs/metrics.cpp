@@ -34,6 +34,8 @@ const char* phase_name(Phase phase) {
       return "score_kernel";
     case Phase::kMatchSort:
       return "match_sort";
+    case Phase::kAcceptScan:
+      return "accept_scan";
     case Phase::kRunChunk:
       return "run_chunk";
     case Phase::kFluidAdvance:

@@ -163,7 +163,8 @@ enum class Phase : std::uint8_t {
   kLifecycleApply,   // fabric::FlowLifecycle::apply_decision
   kCheckpointWrite,  // ckpt::CheckpointManager durable write
   kScoreKernel,      // simd score-key computation over candidate lanes
-  kMatchSort,        // GreedyMatcher candidate ordering (bucket/radix)
+  kMatchSort,        // GreedyMatcher candidate ordering (sort and merge)
+  kAcceptScan,       // GreedyMatcher accept scan over the ordered entries
   kRunChunk,         // one sim::Engine::run_until call
   kFluidAdvance,     // flowsim's drain of the serving flows between events
   kRateSolve,        // flowsim's rate assignment for a new serving set

@@ -83,7 +83,7 @@ void CandidateSoA::assign_from_view(const CandidateView& v) {
   }
 }
 
-CandidateView CandidateSoA::view() const {
+CandidateView CandidateSoA::view(const matching::LaneChanges& changes) const {
   const std::size_t n = ingress.size();
   const bool core_consistent =
       egress.size() == n && backlog.size() == n &&
@@ -103,6 +103,7 @@ CandidateView CandidateSoA::view() const {
     v.oldest_flow_ = oldest_flow.data();
     v.oldest_arrival_ = oldest_arrival.data();
   }
+  v.changes_ = changes;
   return v;
 }
 

@@ -13,8 +13,10 @@
 // lane gets a ConfigError, never silent zeros.
 //
 // A view from the cache also says which positions its refresh rewrote
-// (changes()), so greedy schedulers re-sort only those; views built
-// here (CandidateSoA::view, from_aos) are untracked.
+// (changes()), so greedy schedulers re-sort only those. Views built here
+// are untracked unless CandidateSoA::view is handed the change list to
+// carry: a decorator that copies the cache's lanes and rewrites each
+// position from that position's own lanes passes the cache's list on.
 #pragma once
 
 #include <cstddef>
@@ -53,7 +55,8 @@ class CandidateSoA;
 /// Non-owning lane pointers over `size()` candidates, one per non-empty
 /// VOQ. Obtained from CandidateSoA::view() (or CandidateCache::refresh(),
 /// which wraps one and adds its change list). Valid until the backing
-/// storage is mutated.
+/// storage is mutated; a carried change list, until its producer's next
+/// refresh.
 class CandidateView {
  public:
   CandidateView() = default;
@@ -126,14 +129,17 @@ class CandidateSoA {
   void assign_from_aos(const std::vector<VoqCandidate>& aos,
                        bool arrival = true);
 
-  /// Copies another view's lanes (including arrival-lane presence, not
-  /// its change tracking). Decorators use this to mutate a lane before
-  /// forwarding.
+  /// Copies another view's lanes, including arrival-lane presence but
+  /// not its change list. Decorators use this to mutate a lane before
+  /// forwarding, and hand the source's changes() to view().
   void assign_from_view(const CandidateView& v);
 
   /// Validating accessor: throws ConfigError if any present lane's
-  /// length disagrees (a builder bug or a fuzzer-mutated view).
-  CandidateView view() const;
+  /// length disagrees (a builder bug or a fuzzer-mutated view). The view
+  /// carries `changes` (default: untracked). A caller that passes a
+  /// producer's list vouches that every position it does not name holds
+  /// the lanes it held at the producer's previous refresh.
+  CandidateView view(const matching::LaneChanges& changes = {}) const;
 };
 
 }  // namespace basrpt::sched

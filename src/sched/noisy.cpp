@@ -42,7 +42,10 @@ void NoisySizeScheduler::decide_into(PortId n_ports,
   for (std::size_t k = 0; k < noisy_.shortest_remaining.size(); ++k) {
     noisy_.shortest_remaining[k] *= factor_for(noisy_.shortest_flow[k]);
   }
-  inner_->decide_into(n_ports, noisy_.view(), out);
+  // The perturbed lane at each position depends only on that position's
+  // shortest_remaining and shortest_flow, so the positions the source
+  // did not rewrite are unchanged here too: its change list still holds.
+  inner_->decide_into(n_ports, noisy_.view(candidates.changes()), out);
 }
 
 }  // namespace basrpt::sched

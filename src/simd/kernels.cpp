@@ -1,7 +1,5 @@
 #include "simd/kernels.hpp"
 
-#include <algorithm>
-
 namespace basrpt::simd {
 
 void compute_keys(KeyOp op, double p0, double p1, const double* sr,
@@ -18,38 +16,6 @@ void compute_keys(KeyOp op, double p0, double p1, const double* sr,
         out[i] = sr[i] + (backlog[i] > p0 ? 0.0 : p1);
       }
       break;
-  }
-}
-
-void bucket_indexes(const double* x, double mn, double inv, std::uint32_t cap,
-                    std::size_t n, std::uint32_t* out) {
-  // Clamps happen in the double domain (min(trunc(v), cap) ==
-  // trunc(min(v, (double)cap)) for v >= 0), which keeps the cast
-  // defined for arbitrarily large scaled values. The clamped value fits
-  // int32, and converting through it lets the x86-64 baseline vectorize
-  // the conversion (SSE2 has no unsigned one).
-  const auto capd = static_cast<double>(cap);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double scaled = (x[i] - mn) * inv;
-    out[i] = static_cast<std::uint32_t>(static_cast<std::int32_t>(
-        std::min(std::max(scaled, 0.0), capd)));
-  }
-}
-
-void bucket_indexes_2piece(const double* x, double split, double lo0,
-                           double inv0, std::uint32_t cap0, double lo1,
-                           double inv1, std::uint32_t base1, std::uint32_t cap,
-                           std::size_t n, std::uint32_t* out) {
-  const auto cap0d = static_cast<double>(cap0);
-  const auto cap1d = static_cast<double>(cap - base1);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (x[i] < split) {
-      const double v = std::min(std::max((x[i] - lo0) * inv0, 0.0), cap0d);
-      out[i] = static_cast<std::uint32_t>(v);
-    } else {
-      const double v = std::min(std::max((x[i] - lo1) * inv1, 0.0), cap1d);
-      out[i] = base1 + static_cast<std::uint32_t>(v);
-    }
   }
 }
 

@@ -70,12 +70,21 @@ void MaxMinSolver::solve_into(const FlowDemand* demands, std::size_t n_flows,
     }
     BASRPT_ASSERT(std::isfinite(delta),
                   "progressive filling found no binding constraint");
+    const double bound = delta;
     delta = std::max(delta, 0.0);
 
     level += delta;
     for (std::size_t l = 0; l < n_links; ++l) {
       if (weight_[l] > kEps) {
-        residual_[l] -= weight_[l] * delta;
+        // The link or links whose residual / weight set this round's
+        // delta are saturated. Subtracting weight * delta can leave them
+        // a few ulp of residual, which at 1e10 bit/s is above kEps, so
+        // they are zeroed instead of compared.
+        if (residual_[l] / weight_[l] == bound) {
+          residual_[l] = 0.0;
+        } else {
+          residual_[l] -= weight_[l] * delta;
+        }
       }
     }
 

@@ -290,6 +290,8 @@ TEST(FlowSimObs, MatchSortWorkCountsOnlyChangedCandidates) {
   // VOQs and one arrival or completion change, so the greedy matcher,
   // which keeps its order across decisions, sorts far fewer entries
   // than it decides over. The counts are exact, so the bound is too.
+  // The accept scan runs once per decision and stops at the last
+  // entry it needs, never past the candidates.
   for (const bool basrpt : {false, true}) {
     FlowSimConfig config;
     config.fabric = topo::small_fabric(4, 6, 3);
@@ -319,6 +321,11 @@ TEST(FlowSimObs, MatchSortWorkCountsOnlyChangedCandidates) {
     ASSERT_GT(candidates, 0u) << scheduler.name();
     EXPECT_GT(sort.work, 0u) << scheduler.name();
     EXPECT_LT(2 * sort.work, candidates) << scheduler.name();
+    const obs::PhaseStats& scan = registry.phase(obs::Phase::kAcceptScan);
+    EXPECT_EQ(scan.calls, registry.phase(obs::Phase::kDecide).calls)
+        << scheduler.name();
+    EXPECT_GT(scan.work, 0u) << scheduler.name();
+    EXPECT_LE(scan.work, candidates) << scheduler.name();
   }
 }
 
@@ -329,16 +336,22 @@ TEST(FlowSimObs, EdgeBoundRatesMatchTheSolverAtEveryDecision) {
   // solver; the random fault plan adds rate clamps, masked ports,
   // dropped decisions and re-arrivals. On two cores with rack
   // up-links of 20 Gbps instead of 30, a matching that sends five or six
-  // flows out of one rack is core-bound and goes to the solver.
-  enum class Variant { kPlain, kFaults, kThinCore };
-  for (const Variant variant :
-       {Variant::kPlain, Variant::kFaults, Variant::kThinCore}) {
+  // flows out of one rack is core-bound and goes to the solver. So it
+  // does on three cores of 15 Gbps, where five flows bind a rack up-link
+  // at 15e9 / (5 x 1/3) bit/s and subtracting their share leaves the
+  // link a few ulp of residual: the solver must still freeze them.
+  enum class Variant { kPlain, kFaults, kThinCore, kBindingCore };
+  for (const Variant variant : {Variant::kPlain, Variant::kFaults,
+                                Variant::kThinCore, Variant::kBindingCore}) {
     for (const bool basrpt : {false, true}) {
       FlowSimConfig config;
       config.fabric = topo::small_fabric(4, 6, 3);
       if (variant == Variant::kThinCore) {
         config.fabric = topo::small_fabric(4, 6, 2);
         config.fabric.core_link = gbps(20.0);
+      }
+      if (variant == Variant::kBindingCore) {
+        config.fabric.core_link = gbps(15.0);
       }
       config.horizon = seconds(0.2);
       config.validate_decisions = true;
@@ -380,7 +393,8 @@ TEST(FlowSimObs, EdgeBoundRatesMatchTheSolverAtEveryDecision) {
       const std::uint64_t selected =
           registry.histograms().at("sched.matching_size").sum();
       EXPECT_GT(solve.calls, 1000u) << label;
-      if (variant == Variant::kThinCore) {
+      if (variant == Variant::kThinCore ||
+          variant == Variant::kBindingCore) {
         EXPECT_GT(solve.work, 0u) << label;
         EXPECT_LT(solve.work, selected) << label;
       } else {

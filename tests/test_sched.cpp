@@ -581,6 +581,18 @@ TEST(TrackedDecisions, ForwardingDecoratorKeepsTheTrackedPath) {
   }
 }
 
+TEST(TrackedDecisions, NoisyDecoratorKeepsTheTrackedPath) {
+  // The size-noise decorator copies the lanes and perturbs each
+  // position's remaining size from that position's own lanes, so it
+  // hands the cache's change list on and the order is kept.
+  for (const char* spec : {"srpt:err=4", "fast-basrpt:v=2500:err=4"}) {
+    SCOPED_TRACE(spec);
+    SchedulerPtr scheduler = make_scheduler(SchedulerSpec::parse(spec));
+    const auto [candidates, sorted] = run_tracked_churn(spec, *scheduler, 29);
+    EXPECT_LT(2 * sorted, candidates);
+  }
+}
+
 TEST(TrackedDecisions, AlternatingCachesRebuildTheOrder) {
   const PortId ports = 8;
   for (const char* spec : kGreedySpecs) {

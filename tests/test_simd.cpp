@@ -70,66 +70,6 @@ TEST(Kernels, ComputeKeysVariantsBitIdentical) {
   }
 }
 
-TEST(Kernels, BucketIndexesVariantsBitIdentical) {
-  Rng rng(14);
-  const double inf = std::numeric_limits<double>::infinity();
-  for (const std::size_t n : kLens) {
-    std::vector<double> x = random_lane(rng, n);
-    x[0] = rng.bernoulli(0.5) ? inf : -inf;
-    // mn is a robust (sampled) bound: some values land below it and must
-    // take the low clamp; the scale pushes others past the cap.
-    const double mn = 0.0;
-    const double inv = 1e-3;
-    const std::uint32_t cap = 1023;
-    std::vector<std::uint32_t> got(n);
-    bucket_indexes(x.data(), mn, inv, cap, n, got.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      const double scaled = (x[i] - mn) * inv;
-      const std::uint32_t want =
-          scaled <= 0.0 ? 0u
-          : scaled >= static_cast<double>(cap)
-              ? cap
-              : static_cast<std::uint32_t>(scaled);
-      EXPECT_EQ(got[i], want) << "n=" << n << " x=" << x[i];
-    }
-  }
-}
-
-TEST(Kernels, BucketIndexes2PieceVariantsBitIdentical) {
-  Rng rng(15);
-  for (const std::size_t n : kLens) {
-    std::vector<double> x(n);
-    for (auto& v : x) {
-      // Bimodal: a low cluster and a high cluster an offset apart, plus
-      // outliers outside both sampled ranges to hit the clamps.
-      v = rng.uniform(0.0, 1e6) + (rng.bernoulli(0.5) ? 0.0 : 1e12);
-      if (rng.bernoulli(0.05)) {
-        v = rng.bernoulli(0.5) ? -5e5 : 2e12;
-      }
-    }
-    const double split = 1e12;
-    const std::uint32_t cap = 2047;
-    const std::uint32_t base1 = 1024;
-    const double inv0 = static_cast<double>(base1) / 1e6;
-    const double inv1 = static_cast<double>(cap + 1 - base1) / 1e6;
-    std::vector<std::uint32_t> got(n);
-    bucket_indexes_2piece(x.data(), split, 0.0, inv0, base1 - 1, split, inv1,
-                          base1, cap, n, got.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_LE(got[i], cap);
-      EXPECT_EQ(got[i] >= base1, x[i] >= split) << "x=" << x[i];
-    }
-    // The map must be monotone in the input.
-    std::vector<std::size_t> order(n);
-    for (std::size_t i = 0; i < n; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return x[a] < x[b]; });
-    for (std::size_t k = 1; k < n; ++k) {
-      EXPECT_LE(got[order[k - 1]], got[order[k]]);
-    }
-  }
-}
-
 TEST(Kernels, BoundsOkI32VariantsAgree) {
   const std::int32_t limit = 8;
   for (const std::size_t n : kLens) {

@@ -194,6 +194,28 @@ TEST(MaxMin, EcmpCollisionCongestsACoreLink) {
   }
 }
 
+TEST(MaxMin, BindingCoreLinkSaturatesExactly) {
+  // Five senders share each 15 Gbps rack up-link at a third each, so the
+  // up-links bind at 15e9 / (5 x 1/3) = 9 Gbps, below the host rate.
+  // Subtracting weight x delta leaves those links a few ulp of residual,
+  // more than any absolute tolerance at 1.5e10 bit/s: the solver must
+  // still count them saturated and freeze their flows.
+  FabricConfig config = small_fabric(2, 6, 3);
+  config.core_link = gbps(15.0);
+  const Fabric fabric(config);
+  std::vector<FlowDemand> demands;
+  for (HostId h = 0; h < 5; ++h) {
+    demands.push_back({fabric.route(h, h + 6, static_cast<std::uint64_t>(h)),
+                       Rate{0}});
+  }
+  const auto rates = max_min_rates(demands, fabric.capacities());
+  ASSERT_EQ(rates.size(), 5u);
+  for (const Rate r : rates) {
+    EXPECT_EQ(r, rates[0]);
+    EXPECT_NEAR(r.bits_per_sec, 9e9, 1.0);
+  }
+}
+
 TEST(MaxMin, NoLinkOversubscribed) {
   const Fabric fabric(small_fabric(3, 4, 2));
   std::vector<FlowDemand> demands;
