@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -90,8 +91,10 @@ inline bool parse_common(CliParser& cli, int argc, const char* const* argv) {
             "write crash-safe checkpoints here (see docs/CHECKPOINT.md); "
             "empty disables")
       .integer("checkpoint-every", 0,
-               "checkpoint cadence: completed cells for figure benches, "
-               "slots for slotted benches (0 = per cell / on interrupt)")
+               "checkpoint cadence: completed cells for figure benches; "
+               "slots inside a cell for slotted benches at --jobs 1, "
+               "which at --jobs > 1 checkpoint every cell (0 = per cell "
+               "/ on interrupt)")
       .text("resume", "",
             "resume from a checkpoint file, or 'latest' to pick the "
             "newest in --checkpoint-dir")
@@ -124,12 +127,28 @@ inline Scale scale_from_cli(const CliParser& cli) {
   return scale;
 }
 
+/// The bench's --plot-dir, created at start-up (empty when unset), so
+/// that a bad path fails before the first cell runs rather than after
+/// the whole sweep: exits 2 when the directory cannot be created.
+inline std::string plot_dir(const CliParser& cli) {
+  const std::string& dir = cli.get_text("plot-dir");
+  if (!dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec || !std::filesystem::is_directory(dir, ec)) {
+      std::fprintf(stderr, "error: --plot-dir %s: %s\n", dir.c_str(),
+                   ec ? ec.message().c_str() : "not a directory");
+      std::exit(2);
+    }
+  }
+  return dir;
+}
+
 inline core::ExperimentConfig base_config(const Scale& scale,
                                           const CliParser& cli) {
   core::ExperimentConfig config;
   config.fabric = scale.fabric;
   config.seed = static_cast<std::uint64_t>(cli.get_integer("seed"));
-  config.paranoid = cli.get_flag("paranoid");
   return config;
 }
 
@@ -170,21 +189,17 @@ class ObsSession {
     }
   }
 
-  void apply(core::ExperimentConfig& config) {
+  /// Points a simulator config at the session tracer and sets its
+  /// heartbeat, where the config has one.
+  template <typename Config>
+  void apply(Config& config) {
     if (!trace_path_.empty()) {
       config.tracer = &tracer_;
     }
-    if (heartbeat_sec_ > 0.0) {
-      config.heartbeat_wall_sec = heartbeat_sec_;
-    }
-  }
-
-  void apply(switchsim::SlottedConfig& config) {
-    if (!trace_path_.empty()) {
-      config.tracer = &tracer_;
-    }
-    if (heartbeat_sec_ > 0.0) {
-      config.heartbeat_wall_sec = heartbeat_sec_;
+    if constexpr (requires { config.heartbeat_wall_sec; }) {
+      if (heartbeat_sec_ > 0.0) {
+        config.heartbeat_wall_sec = heartbeat_sec_;
+      }
     }
   }
 
@@ -292,11 +307,12 @@ class ObsSession {
   obs::FlowTracer tracer_;
 };
 
-/// Run-scoped fault wiring for the shared --fault-plan / --fault-seed /
-/// --watchdog flags. Construct after parse_common with the fabric size
-/// and the horizon the bench will simulate, in `unit` ("s", or "slots"
-/// for slotted benches: the slotted model's time unit); random plans
-/// draw their events over it. Then apply() to each config about to run.
+/// Run-scoped robustness wiring for the shared --fault-plan /
+/// --fault-seed / --watchdog / --paranoid flags. Construct after
+/// parse_common with the fabric size and the horizon the bench will
+/// simulate, in `unit` ("s", or "slots" for slotted benches: the slotted
+/// model's time unit); random plans draw their events over it. Then
+/// apply() to each config about to run.
 /// With no flags set, apply() is a no-op and outputs stay bit-identical.
 /// Benches reach it through bench::RunSession.
 class FaultSession {
@@ -306,7 +322,8 @@ class FaultSession {
   /// leaves honestly-labelled partial artifacts behind.
   FaultSession(const CliParser& cli, std::int32_t hosts, double horizon,
                const char* unit, ObsSession* obs = nullptr)
-      : watchdog_wall_sec_(cli.get_real("watchdog")) {
+      : watchdog_wall_sec_(cli.get_real("watchdog")),
+        paranoid_(cli.get_flag("paranoid")) {
     const std::string& spec = cli.get_text("fault-plan");
     // Plan loading fails like a bad flag would: a clear message and exit
     // 2, not an uncaught ParseError terminating the process.
@@ -338,8 +355,8 @@ class FaultSession {
   bool active() const { return !plan_.empty(); }
   const fault::FaultPlan& plan() const { return plan_; }
 
-  /// Wires the plan and the watchdog into a core::ExperimentConfig,
-  /// flowsim::FlowSimConfig or switchsim::SlottedConfig.
+  /// Wires the plan, the watchdog and --paranoid into a simulator
+  /// config (any of the four; see RunSession::apply).
   template <typename Config>
   void apply(Config& config) const {
     if (active()) {
@@ -347,6 +364,9 @@ class FaultSession {
     }
     if (watchdog_wall_sec_ > 0.0) {
       config.watchdog.stall_wall_sec = watchdog_wall_sec_;
+    }
+    if (paranoid_) {
+      config.paranoid = true;
     }
   }
 
@@ -366,6 +386,7 @@ class FaultSession {
  private:
   fault::FaultPlan plan_;
   double watchdog_wall_sec_;
+  bool paranoid_;
 };
 
 inline void emit(const stats::Table& table, const CliParser& cli) {

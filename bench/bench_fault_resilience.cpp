@@ -74,6 +74,7 @@ int main(int argc, char** argv) {
   if (!bench::parse_common(cli, argc, argv)) {
     return 0;
   }
+  const std::string plot_dir = bench::plot_dir(cli);
   const auto scale = bench::scale_from_cli(cli);
   bench::print_header("Fault resilience: backlog and FCT under faults",
                       scale);
@@ -137,7 +138,7 @@ int main(int argc, char** argv) {
                stats::cell(basrpt.throughput_gbps, 2)});
   bench::emit(fct, cli);
 
-  if (const std::string dir = cli.get_text("plot-dir"); !dir.empty()) {
+  if (const std::string& dir = plot_dir; !dir.empty()) {
     report::write_series_file(dir + "/fault_backlog.csv",
                               {{"srpt", &q1}, {"fast_basrpt", &q2}});
     std::printf("wrote %s/fault_backlog.csv\n", dir.c_str());

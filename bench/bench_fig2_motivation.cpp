@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   if (!bench::parse_common(cli, argc, argv)) {
     return 0;
   }
+  const std::string plot_dir = bench::plot_dir(cli);
   const auto scale = bench::scale_from_cli(cli);
   bench::print_header("Fig. 2: queue length at a port", scale);
 
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, cli);
 
-  if (const std::string dir = cli.get_text("plot-dir"); !dir.empty()) {
+  if (const std::string& dir = plot_dir; !dir.empty()) {
     report::write_series_file(dir + "/fig2.csv",
                               {{"srpt", &srpt_trace},
                                {"threshold", &thr_trace}});

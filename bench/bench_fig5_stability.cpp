@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   if (!bench::parse_common(cli, argc, argv)) {
     return 0;
   }
+  const std::string plot_dir = bench::plot_dir(cli);
   const auto scale = bench::scale_from_cli(cli);
   bench::print_header("Fig. 5: throughput and queue length", scale);
   const double v_eff = bench::effective_v(cli.get_real("v"), scale);
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
   }
   bench::emit(qlen, cli);
 
-  if (const std::string dir = cli.get_text("plot-dir"); !dir.empty()) {
+  if (const std::string& dir = plot_dir; !dir.empty()) {
     report::write_series_file(dir + "/fig5a.csv",
                               {{"srpt", &d1}, {"fast_basrpt", &d2}});
     report::GnuplotScript fig5a("Fig 5a: cumulative delivered bytes",

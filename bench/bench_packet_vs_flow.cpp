@@ -155,13 +155,14 @@ int main(int argc, char** argv) {
                       "bg avg ms", "bg slowdown", "thpt Gbps"});
   std::vector<std::vector<std::string>> rows(cells.size());
 
-  const auto pkt_cell = [&](const PvfCell& cell) {
+  const auto pkt_cell = [&](const PvfCell& cell, obs::FlowTracer* tracer) {
     pktsim::PacketSimConfig config;
     config.hosts = hosts;
     config.policy = cell.policy;
     config.v = cell.pkt_v;
     config.horizon = horizon;
-    config.paranoid = cli.get_flag("paranoid");
+    session.apply(config);
+    config.tracer = tracer;  // this cell's shard under --jobs
     workload::VectorTraffic replay(trace);
     const auto r = run_packet_sim(config, replay);
     const auto q = r.fct.summary(stats::FlowClass::kQuery);
@@ -177,10 +178,8 @@ int main(int argc, char** argv) {
     flowsim::FlowSimConfig config;
     config.fabric = topo::small_fabric(racks, per_rack, 3);
     config.horizon = horizon;
-    config.tracer = tracer;
-    config.heartbeat_wall_sec = cli.get_real("heartbeat");
-    config.paranoid = cli.get_flag("paranoid");
     session.apply(config);
+    config.tracer = tracer;  // this cell's shard under --jobs
     auto scheduler = sched::make_scheduler(cell.spec);
     workload::VectorTraffic replay(trace);
     const auto r = run_flow_sim(config, *scheduler, replay);
@@ -196,8 +195,8 @@ int main(int argc, char** argv) {
   session.run_cells(
       cells.size(),
       [&](std::size_t i, obs::FlowTracer* tracer) {
-        rows[i] =
-            cells[i].packet ? pkt_cell(cells[i]) : flow_cell(cells[i], tracer);
+        rows[i] = cells[i].packet ? pkt_cell(cells[i], tracer)
+                                  : flow_cell(cells[i], tracer);
       },
       [&](std::size_t i) {
         table.add_row(rows[i]);

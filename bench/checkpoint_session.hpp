@@ -12,19 +12,27 @@
 //    the flow-level calendar holds closures).
 //
 //  * Slotted cells (switchsim::run_slotted): additionally support
-//    genuine mid-run capture. The simulator hands out a complete
-//    SlottedSimState at slot boundaries (cadence, stall, SIGINT/
-//    SIGTERM); resuming restores it and continues bit-identically.
+//    genuine mid-run capture at --jobs 1. The simulator hands out a
+//    complete SlottedSimState at slot boundaries (cadence, stall,
+//    SIGINT/SIGTERM); resuming restores it and continues
+//    bit-identically, at any --jobs.
 //
 // Either way the invariant is the same and tested: checkpoint + resume
 // produces tables and figure CSVs byte-identical to an uninterrupted
 // run, and with no checkpoint flags the benches are bit-identical to
 // builds without this header (pay-for-use).
+//
+// Mid-cell state enters in one place. replay() runs before a sweep's
+// cells are computed: it commits the stored prefix, hands the first
+// unstored slotted cell its mid-run state, and arms mid-cell capture.
+// record() runs at each computed cell's in-order commit
+// (bench::RunSession::run_sweep drives both around exec::run_cells),
+// and abort_interrupted() is the interrupt/stall exit.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -36,9 +44,8 @@
 #include "ckpt/signal_guard.hpp"
 #include "ckpt/slotted_state.hpp"
 #include "ckpt/snapshot.hpp"
-#include "common/interrupt.hpp"
 #include "common/serial.hpp"
-#include "fault/watchdog.hpp"
+#include "exec/sweep.hpp"
 
 namespace basrpt::bench {
 
@@ -67,8 +74,9 @@ inline void require_no_checkpoint_flags(const CliParser& cli) {
   }
 }
 
-/// Owned by bench::RunSession, which drives it both sequentially and
-/// under --jobs; see bench/run_session.hpp.
+/// Owned by bench::RunSession, whose run_sweep calls replay() and then
+/// runs the remaining cells through exec::run_cells, recording each one
+/// here at its in-order commit; see bench/run_session.hpp.
 class CheckpointSession {
  public:
   /// Construct after parse_common and after the ObsSession (partial
@@ -76,13 +84,11 @@ class CheckpointSession {
   /// the checkpoint filename stem and must match on resume.
   CheckpointSession(const CliParser& cli, std::string bench_name,
                     ObsSession& obs)
-      : cli_(cli),
-        obs_(obs),
+      : obs_(obs),
         bench_(std::move(bench_name)),
         dir_(cli.get_text("checkpoint-dir")),
         resume_(cli.get_text("resume")),
-        every_(cli.get_integer("checkpoint-every")),
-        paranoid_(cli.get_flag("paranoid")) {
+        every_(cli.get_integer("checkpoint-every")) {
     const std::string canon =
         bench_ + "\n" + cli.canonical_values(fingerprint_excludes());
     fingerprint_ = u64_to_hex(crc32_of(canon)).substr(8);
@@ -108,193 +114,117 @@ class CheckpointSession {
   }
 
   bool enabled() const { return manager_.has_value(); }
-  bool paranoid() const { return paranoid_; }
 
-  /// Runs (or replays) one experiment cell. Labels must be unique and
-  /// arrive in the same order on every invocation — they name the cell
-  /// in the checkpoint.
-  core::ExperimentResult run(const std::string& label,
-                             core::ExperimentConfig config) {
-    config.paranoid = config.paranoid || paranoid_;
-    const std::size_t idx = cells_.size();
-    if (const Stored* stored = stored_cell(idx, "experiment", label)) {
-      core::ExperimentResult r = ckpt::read_experiment_result(
-          *snapshot_, stored->prefix, config.watched_src,
-          config.watched_dst);
-      cells_.push_back(Cell{"experiment", label, r, std::nullopt});
-      std::fprintf(stderr, "checkpoint: cell '%s' replayed (no recompute)\n",
-                   label.c_str());
-      return r;
-    }
-    try {
-      core::ExperimentResult r = core::run_experiment(config);
-      cells_.push_back(Cell{"experiment", label, r, std::nullopt});
-      after_cell();
-      return r;
-    } catch (const InterruptedError& e) {
-      abort_interrupted(e.what(), exit_code(e));
-    } catch (const fault::StallError& e) {
-      std::fprintf(stderr, "stall during cell '%s': %s\n", label.c_str(),
-                   e.what());
-      abort_interrupted("watchdog stall", 3);
-    }
-  }
-
-  /// Runs (or replays) one slotted cell, with mid-run capture/resume.
-  /// `make_stream` must build a *freshly seeded* arrival stream each
-  /// call — resume replays it to the checkpointed pull count.
-  switchsim::SlottedResult run_slotted(
-      const std::string& label, switchsim::SlottedConfig config,
-      sched::Scheduler& scheduler,
-      const std::function<switchsim::ArrivalStream()>& make_stream) {
-    config.paranoid = config.paranoid || paranoid_;
-    const std::size_t idx = cells_.size();
-    if (const Stored* stored = stored_cell(idx, "slotted", label)) {
-      switchsim::SlottedResult r = ckpt::read_slotted_result(
-          *snapshot_, stored->prefix, config.watched_src,
-          config.watched_dst);
-      cells_.push_back(Cell{"slotted", label, std::nullopt, r});
-      std::fprintf(stderr, "checkpoint: cell '%s' replayed (no recompute)\n",
-                   label.c_str());
-      return r;
-    }
-    std::optional<switchsim::SlottedSimState> resume_state;
-    if (snapshot_ && wip_cell_ == static_cast<std::int64_t>(idx)) {
-      if (wip_label_ != label) {
-        mismatch(idx, wip_label_, label);
+  /// The replay step, run once before the sweep's cells are computed.
+  /// Replays the stored prefix from the snapshot and commits it (the
+  /// cells' callbacks run, no recompute), hands the first unstored
+  /// slotted cell its mid-run state when the snapshot captured one, and
+  /// at one job arms mid-cell capture on the remaining slotted cells.
+  /// Returns the index of the first cell left to compute. Labels must be
+  /// unique and arrive in the same order on every invocation — they
+  /// name the cells in the checkpoint.
+  std::size_t replay(exec::Sweep& sweep, int jobs) {
+    std::size_t first = 0;
+    for (; first < sweep.size() && cells_.size() < stored_.size(); ++first) {
+      const exec::Cell& cell = sweep.cell(first);
+      exec::CellOutput out;
+      if (cell.kind == exec::Cell::Kind::kExperiment) {
+        out.experiment = ckpt::read_experiment_result(
+            *snapshot_, stored_cell("experiment", cell.label).prefix,
+            cell.experiment.watched_src, cell.experiment.watched_dst);
+      } else {
+        out.slotted = ckpt::read_slotted_result(
+            *snapshot_, stored_cell("slotted", cell.label).prefix,
+            cell.slotted.watched_src, cell.slotted.watched_dst);
       }
-      resume_state = ckpt::read_slotted_state(*snapshot_);
-      config.resume_from = &*resume_state;
+      keep(cell.label, out);
+      std::fprintf(stderr, "checkpoint: cell '%s' replayed (no recompute)\n",
+                   cell.label.c_str());
+      sweep.commit(first, out);
+    }
+    if (first < sweep.size() &&
+        wip_cell_ == static_cast<std::int64_t>(cells_.size()) &&
+        sweep.cell(first).kind == exec::Cell::Kind::kSlotted) {
+      exec::Cell& cell = sweep.cell(first);
+      if (wip_label_ != cell.label) {
+        mismatch(cells_.size(), wip_label_, cell.label);
+      }
+      cell.resume_state = std::make_shared<switchsim::SlottedSimState>(
+          ckpt::read_slotted_state(*snapshot_));
       std::fprintf(stderr,
                    "checkpoint: cell '%s' resuming mid-run at slot %lld\n",
-                   label.c_str(),
-                   static_cast<long long>(resume_state->slot));
+                   cell.label.c_str(),
+                   static_cast<long long>(cell.resume_state->slot));
     }
-    if (enabled()) {
-      config.checkpoint_every = every_;  // slots; 0 = interrupt/stall only
-      config.on_checkpoint = [this, idx,
-                              label](const switchsim::SlottedSimState& s) {
-        write_checkpoint(&s, idx, label);
-      };
+    // The capture hook writes the committed prefix from the thread that
+    // computes the cell, so it is armed only at one job, where that is
+    // the committing thread (docs/PARALLEL.md). 0 slots = capture on
+    // interrupt/stall only.
+    if (enabled() && jobs == 1) {
+      for (std::size_t i = first; i < sweep.size(); ++i) {
+        exec::Cell& cell = sweep.cell(i);
+        if (cell.kind != exec::Cell::Kind::kSlotted) {
+          continue;
+        }
+        cell.slotted.checkpoint_every = every_;
+        cell.slotted.on_checkpoint =
+            [this, label = cell.label](const switchsim::SlottedSimState& s) {
+              write_checkpoint(&s, label);
+            };
+      }
     }
-    try {
-      switchsim::SlottedResult r =
-          switchsim::run_slotted(config, scheduler, make_stream());
-      cells_.push_back(Cell{"slotted", label, std::nullopt, r});
-      after_cell();
-      return r;
-    } catch (const InterruptedError& e) {
-      // The in-run on_checkpoint hook persisted the mid-run state just
-      // before the throw; only artifacts remain to flush.
-      abort_interrupted(e.what(), exit_code(e), /*write=*/!enabled());
-    } catch (const fault::StallError& e) {
-      std::fprintf(stderr, "stall during cell '%s': %s\n", label.c_str(),
-                   e.what());
-      abort_interrupted("watchdog stall", 3, /*write=*/!enabled());
+    return first;
+  }
+
+  /// Ordered commit of a computed cell: records it and honours the
+  /// checkpoint cadence. `--checkpoint-every` counts cells for
+  /// experiment cells; for slotted cells it is a slot cadence inside the
+  /// run, so a slotted cell that ran without mid-cell capture (at
+  /// --jobs > 1) checkpoints at its commit.
+  void record(const exec::Cell& cell, const exec::CellOutput& out) {
+    keep(cell.label, out);
+    const bool uncaptured_slotted = cell.kind == exec::Cell::Kind::kSlotted &&
+                                    !cell.slotted.on_checkpoint;
+    const std::int64_t every_cells =
+        every_ > 0 && !uncaptured_slotted ? every_ : 1;
+    if (enabled() &&
+        static_cast<std::int64_t>(cells_.size()) % every_cells == 0) {
+      write_checkpoint(nullptr, "");
     }
   }
 
-  // ---- Parallel-sweep extension (bench::RunSession's --jobs path) ----
-  //
-  // The serialized commit path: workers compute cells concurrently, but
-  // every mutation of this session — replaying the stored prefix,
-  // recording a finished cell, writing a checkpoint — happens on the
-  // committing thread, in submission order. Checkpoint files therefore
-  // hold a *prefix* of the sweep regardless of --jobs, and resuming one
-  // is indistinguishable from resuming a sequential run.
-
-  /// True while the resume snapshot still holds the finished result of
-  /// the next cell to declare (index cells_.size()).
-  bool next_cell_stored() const {
-    return snapshot_.has_value() && cells_.size() < stored_.size();
-  }
-
-  /// Replays the next cell from the snapshot (call only when
-  /// next_cell_stored()).
-  core::ExperimentResult replay_experiment(
-      const std::string& label, const core::ExperimentConfig& config) {
-    const Stored* stored = stored_cell(cells_.size(), "experiment", label);
-    BASRPT_REQUIRE(stored != nullptr, "no stored cell to replay");
-    core::ExperimentResult r = ckpt::read_experiment_result(
-        *snapshot_, stored->prefix, config.watched_src, config.watched_dst);
-    cells_.push_back(Cell{"experiment", label, r, std::nullopt});
-    std::fprintf(stderr, "checkpoint: cell '%s' replayed (no recompute)\n",
-                 label.c_str());
-    return r;
-  }
-
-  switchsim::SlottedResult replay_slotted(
-      const std::string& label, const switchsim::SlottedConfig& config) {
-    const Stored* stored = stored_cell(cells_.size(), "slotted", label);
-    BASRPT_REQUIRE(stored != nullptr, "no stored cell to replay");
-    switchsim::SlottedResult r = ckpt::read_slotted_result(
-        *snapshot_, stored->prefix, config.watched_src, config.watched_dst);
-    cells_.push_back(Cell{"slotted", label, std::nullopt, r});
-    std::fprintf(stderr, "checkpoint: cell '%s' replayed (no recompute)\n",
-                 label.c_str());
-    return r;
-  }
-
-  /// Mid-run state of the first unstored cell, if the snapshot captured
-  /// one; null otherwise. The label must match the checkpointed wip
-  /// label (a mismatch exits like any other cell-identity mismatch).
-  std::shared_ptr<switchsim::SlottedSimState> take_wip(
-      const std::string& label) {
-    if (!snapshot_ || wip_cell_ != static_cast<std::int64_t>(cells_.size())) {
-      return nullptr;
+  /// Interruption: persists the committed prefix (skipped with `write`
+  /// false, when the failing cell's capture hook already persisted its
+  /// mid-run state just before the throw), flushes partial artifacts
+  /// with the "interrupted" marker, and exits with `code`.
+  [[noreturn]] void abort_interrupted(const std::string& why, int code,
+                                      bool write) {
+    if (write) {
+      try {
+        write_checkpoint(nullptr, "");
+      } catch (const ConfigError& e) {
+        std::fprintf(stderr, "checkpoint write failed: %s\n", e.what());
+      }
     }
-    if (wip_label_ != label) {
-      mismatch(cells_.size(), wip_label_, label);
-    }
-    auto state = std::make_shared<switchsim::SlottedSimState>(
-        ckpt::read_slotted_state(*snapshot_));
+    obs_.finish("interrupted");
     std::fprintf(stderr,
-                 "checkpoint: cell '%s' resuming mid-run at slot %lld\n",
-                 label.c_str(), static_cast<long long>(state->slot));
-    return state;
-  }
-
-  /// Ordered commit of a cell computed outside this session (on a
-  /// worker): records it and honors the checkpoint cadence exactly as
-  /// the sequential run()/run_slotted() paths do.
-  void commit_experiment(const std::string& label,
-                         const core::ExperimentResult& r) {
-    cells_.push_back(Cell{"experiment", label, r, std::nullopt});
-    after_cell();
-  }
-  void commit_slotted(const std::string& label,
-                      const switchsim::SlottedResult& r) {
-    cells_.push_back(Cell{"slotted", label, std::nullopt, r});
-    after_cell();
-  }
-
-  /// Interruption surfaced by the parallel runner: checkpoints the
-  /// committed prefix, flushes partial artifacts, exits. Mid-run slotted
-  /// capture is a jobs==1 feature, so here there is never wip state.
-  [[noreturn]] void fail_interrupted(const std::string& why, int code) {
-    abort_interrupted(why, code);
-  }
-
-  static int interrupt_exit_code(const InterruptedError& e) {
-    return exit_code(e);
+                 "interrupted (%s): partial artifacts flushed; resume "
+                 "with --resume latest\n",
+                 why.c_str());
+    std::exit(code);
   }
 
  private:
-  struct Cell {
-    std::string kind;
+  /// A committed cell: stored results and computed ones alike.
+  struct Committed {
     std::string label;
-    std::optional<core::ExperimentResult> experiment;
-    std::optional<switchsim::SlottedResult> slotted;
+    exec::CellOutput out;
   };
   struct Stored {
     std::string kind;
     std::string label;
     std::string prefix;
   };
-
-  static int exit_code(const InterruptedError& e) {
-    return e.signal_number() > 0 ? 128 + e.signal_number() : 3;
-  }
 
   [[noreturn]] void mismatch(std::size_t idx, const std::string& stored,
                              const std::string& current) {
@@ -306,16 +236,24 @@ class CheckpointSession {
     std::exit(2);
   }
 
-  const Stored* stored_cell(std::size_t idx, const std::string& kind,
+  /// Every checkpoint holds the whole committed prefix, so a cell's
+  /// result is kept only while checkpoints are written; without
+  /// --checkpoint-dir the entry just counts the cell.
+  void keep(const std::string& label, const exec::CellOutput& out) {
+    cells_.push_back(
+        Committed{label, enabled() ? out : exec::CellOutput{}});
+  }
+
+  /// The stored entry of the next cell to commit; exits on a kind or
+  /// label mismatch.
+  const Stored& stored_cell(const std::string& kind,
                             const std::string& label) {
-    if (!snapshot_ || idx >= stored_.size()) {
-      return nullptr;
-    }
+    const std::size_t idx = cells_.size();
     const Stored& s = stored_[idx];
     if (s.kind != kind || s.label != label) {
       mismatch(idx, s.kind + " '" + s.label + "'", kind + " '" + label + "'");
     }
-    return &s;
+    return s;
   }
 
   void load_resume() {
@@ -384,23 +322,10 @@ class CheckpointSession {
     }
   }
 
-  void after_cell() {
-    if (!enabled()) {
-      return;
-    }
-    // Cell cadence: --checkpoint-every counts cells for experiment
-    // benches (and doubles as a slot cadence inside slotted runs); 0
-    // means "after every cell".
-    const std::int64_t every_cells = every_ > 0 ? every_ : 1;
-    if (static_cast<std::int64_t>(cells_.size()) % every_cells == 0) {
-      write_checkpoint(nullptr, 0, "");
-    }
-  }
-
-  /// Serializes completed cells (+ optionally one mid-run slotted state)
-  /// and writes them through the manager's atomic path.
+  /// Serializes the committed cells (+ optionally one mid-run slotted
+  /// state) and writes them through the manager's atomic path.
   void write_checkpoint(const switchsim::SlottedSimState* wip,
-                        std::size_t wip_idx, const std::string& wip_label) {
+                        const std::string& wip_label) {
     if (!enabled()) {
       return;
     }
@@ -409,8 +334,9 @@ class CheckpointSession {
     meta.text("bench", bench_);
     meta.text("fingerprint", fingerprint_);
     meta.u64("cells", cells_.size());
-    for (const Cell& c : cells_) {
-      meta.text("cell", c.kind + " " + c.label);
+    for (const Committed& c : cells_) {
+      meta.text("cell", (c.out.experiment ? "experiment " : "slotted ") +
+                            c.label);
     }
     meta.u64("wip", wip != nullptr ? 1 : 0);
     if (wip != nullptr) {
@@ -418,16 +344,15 @@ class CheckpointSession {
     }
     for (std::size_t i = 0; i < cells_.size(); ++i) {
       const std::string prefix = "cell" + std::to_string(i);
-      const Cell& c = cells_[i];
-      if (c.experiment) {
-        ckpt::write_experiment_result(w, prefix, *c.experiment);
+      const exec::CellOutput& out = cells_[i].out;
+      if (out.experiment) {
+        ckpt::write_experiment_result(w, prefix, *out.experiment);
       } else {
-        ckpt::write_slotted_result(w, prefix, *c.slotted);
+        ckpt::write_slotted_result(w, prefix, *out.slotted);
       }
     }
     if (wip != nullptr) {
-      (void)wip_idx;  // position == cells_.size(), recorded via meta
-      ckpt::write_slotted_state(w, *wip);
+      ckpt::write_slotted_state(w, *wip);  // its cell is cells_.size()
     }
     const std::string path = manager_->write(w.str());
     std::fprintf(stderr, "checkpoint: wrote %s (%zu cells%s)\n",
@@ -435,32 +360,11 @@ class CheckpointSession {
                  wip != nullptr ? " + mid-run state" : "");
   }
 
-  /// Final interruption path: persist what we have, flush partial
-  /// artifacts with the "interrupted" marker, and exit.
-  [[noreturn]] void abort_interrupted(const std::string& why, int code,
-                                      bool write = true) {
-    if (write) {
-      try {
-        write_checkpoint(nullptr, 0, "");
-      } catch (const ConfigError& e) {
-        std::fprintf(stderr, "checkpoint write failed: %s\n", e.what());
-      }
-    }
-    obs_.finish("interrupted");
-    std::fprintf(stderr,
-                 "interrupted (%s): partial artifacts flushed; resume "
-                 "with --resume latest\n",
-                 why.c_str());
-    std::exit(code);
-  }
-
-  const CliParser& cli_;
   ObsSession& obs_;
   std::string bench_;
   std::string dir_;
   std::string resume_;
   std::int64_t every_;
-  bool paranoid_;
   std::string fingerprint_;
 
   std::optional<ckpt::CheckpointManager> manager_;
@@ -469,7 +373,7 @@ class CheckpointSession {
   std::vector<Stored> stored_;
   std::int64_t wip_cell_ = -1;
   std::string wip_label_;
-  std::vector<Cell> cells_;
+  std::vector<Committed> cells_;
 };
 
 }  // namespace basrpt::bench

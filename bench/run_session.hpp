@@ -16,20 +16,21 @@
 //   bench::emit(table, cli);
 //   session.finish();
 //
-// run_sweep at --jobs 1 drives each cell through the same
-// CheckpointSession code path the sequential benches always used, so
-// output is byte-identical to pre-RunSession builds. At --jobs > 1 the
-// stored prefix replays first, then the remaining cells fan out on an
-// exec::CellPool with per-cell metric/tracer shards (phase timings
-// included, so --profile works at any --jobs); results, commit
-// callbacks, checkpoint writes, and progress lines all land in
-// submission order (see docs/PARALLEL.md for the determinism contract).
+// Every sweep runs through one loop, exec::run_cells: at --jobs 1 it
+// computes and commits each cell on this thread, otherwise the cells
+// run on an exec::CellPool with per-cell metric/tracer shards (phase
+// timings included, so --profile works at any --jobs). run_sweep first
+// lets the CheckpointSession replay the stored prefix; commit callbacks,
+// checkpoint writes and progress lines then land in submission order
+// at any job count (see docs/PARALLEL.md for the determinism contract).
+// One catch around the loop turns an interrupt or a watchdog stall
+// into a checkpoint, an "interrupted" flush and exit 128+sig or 3.
 #pragma once
 
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -37,9 +38,10 @@
 
 #include "bench_common.hpp"
 #include "checkpoint_session.hpp"
-#include "exec/artifacts.hpp"
+#include "common/interrupt.hpp"
 #include "exec/cell_pool.hpp"
 #include "exec/sweep.hpp"
+#include "fault/watchdog.hpp"
 
 namespace basrpt::bench {
 
@@ -68,16 +70,17 @@ class RunSession {
                    static_cast<double>(fault_horizon), "slots",
                    checkpointing) {}
 
-  /// Observability + fault wiring for one cell config (all passive).
-  void apply(core::ExperimentConfig& config) {
+  /// Wires the shared flags into one simulator config — a
+  /// core::ExperimentConfig, flowsim::FlowSimConfig,
+  /// switchsim::SlottedConfig or pktsim::PacketSimConfig: --trace and
+  /// --heartbeat (where the config has one), --fault-plan, --watchdog
+  /// and --paranoid. All passive. A cell computed under run_cells sets
+  /// its own trace shard after this call.
+  template <typename Config>
+  void apply(Config& config) {
     obs_.apply(config);
     faults_.apply(config);
   }
-  void apply(switchsim::SlottedConfig& config) {
-    obs_.apply(config);
-    faults_.apply(config);
-  }
-  void apply(flowsim::FlowSimConfig& config) { faults_.apply(config); }
 
   /// The --fault-plan in effect (empty without the flag), and the
   /// per-run fault counter line.
@@ -100,51 +103,40 @@ class RunSession {
     exec::progress("%s", buf);
   }
 
-  /// Runs every declared cell, honoring --jobs and --resume. Commits —
-  /// bench callbacks, checkpoint writes, table rows — happen in
-  /// submission order on this thread at any job count.
+  /// Runs every declared cell, honoring --jobs and --resume: the
+  /// checkpoint layer replays the stored prefix, then the remaining
+  /// cells run through run_cells, and each commit records its cell in
+  /// the checkpoint before the bench's callback runs.
   void run_sweep(exec::Sweep& sweep) {
-    if (jobs_ <= 1) {
-      run_sequential(sweep);
-    } else {
-      run_parallel(sweep);
-    }
+    const std::size_t first = ckpt_ ? ckpt_->replay(sweep, jobs_) : 0;
+    std::vector<std::optional<exec::CellOutput>> outputs(sweep.size());
+    run_loop(
+        sweep.size() - first,
+        [&](std::size_t k, obs::FlowTracer* tracer) {
+          outputs[first + k] = sweep.compute(first + k, tracer);
+        },
+        [&](std::size_t k) {
+          const std::size_t i = first + k;
+          if (ckpt_) {
+            ckpt_->record(sweep.cell(i), *outputs[i]);
+          }
+          sweep.commit(i, *outputs[i]);
+          outputs[i].reset();
+        },
+        &sweep, first);
   }
 
   /// Deterministic fan-out for benches whose cells are not
   /// experiment/slotted runs (e.g. packet-level replays): `task(i,
-  /// tracer)` computes cell i on a worker with a metrics shard bound
-  /// and `tracer` pointing at its trace shard (the session tracer, or
-  /// null, when sequential); `commit(i)` runs on this thread in
-  /// submission order after the shards are absorbed. No checkpoint
-  /// layer — pair with Checkpointing::kNone.
+  /// tracer)` computes cell i, with `tracer` the session tracer at
+  /// --jobs 1 and the cell's trace shard otherwise (null without
+  /// --trace); `commit(i)` runs on this thread in submission order. No
+  /// checkpoint layer — pair with Checkpointing::kNone.
   void run_cells(
       std::size_t count,
       const std::function<void(std::size_t, obs::FlowTracer*)>& task,
       const std::function<void(std::size_t)>& commit) {
-    exec::CellPool pool(jobs_);
-    if (pool.jobs() <= 1 || count <= 1) {
-      for (std::size_t i = 0; i < count; ++i) {
-        task(i, obs_.tracer_or_null());
-        commit(i);
-      }
-      return;
-    }
-    obs::FlowTracer* session_tracer = obs_.tracer_or_null();
-    std::vector<std::unique_ptr<exec::CellArtifacts>> artifacts(count);
-    pool.run(
-        count,
-        [&](std::size_t i) {
-          artifacts[i] =
-              std::make_unique<exec::CellArtifacts>(session_tracer != nullptr);
-          obs::ScopedRegistryBind bind(artifacts[i]->registry());
-          task(i, artifacts[i]->tracer());
-        },
-        [&](std::size_t i) {
-          artifacts[i]->absorb(session_tracer);
-          commit(i);
-          artifacts[i].reset();
-        });
+    run_loop(count, task, commit);
   }
 
   /// Writes --metrics/--trace artifacts; call once, after emitting
@@ -165,116 +157,47 @@ class RunSession {
     }
   }
 
-  void run_sequential(exec::Sweep& sweep) {
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-      exec::Cell& cell = sweep.cell(i);
-      if (cell.kind == exec::Cell::Kind::kExperiment) {
-        if (ckpt_) {
-          const core::ExperimentResult r =
-              ckpt_->run(cell.label, cell.experiment);
-          if (cell.on_experiment) {
-            cell.on_experiment(r);
-          }
-        } else {
-          sweep.commit(i, sweep.compute(i, nullptr));
-        }
-        continue;
-      }
-      if (ckpt_) {
-        sched::SchedulerPtr scheduler = cell.make_scheduler();
-        const switchsim::SlottedResult r = ckpt_->run_slotted(
-            cell.label, cell.slotted, *scheduler, cell.make_stream);
-        if (cell.on_slotted) {
-          cell.on_slotted(r);
-        }
-      } else {
-        sweep.commit(i, sweep.compute(i, nullptr));
-      }
-    }
-  }
-
-  void run_parallel(exec::Sweep& sweep) {
-    // Replay the checkpointed prefix (and pick up any mid-run state for
-    // the first unstored cell) before spawning workers: resume logic
-    // stays strictly single-threaded.
-    std::size_t first = 0;
-    if (ckpt_) {
-      while (first < sweep.size() && ckpt_->next_cell_stored()) {
-        exec::Cell& cell = sweep.cell(first);
-        if (cell.kind == exec::Cell::Kind::kExperiment) {
-          const core::ExperimentResult r =
-              ckpt_->replay_experiment(cell.label, cell.experiment);
-          if (cell.on_experiment) {
-            cell.on_experiment(r);
-          }
-        } else {
-          const switchsim::SlottedResult r =
-              ckpt_->replay_slotted(cell.label, cell.slotted);
-          if (cell.on_slotted) {
-            cell.on_slotted(r);
-          }
-        }
-        ++first;
-      }
-      if (first < sweep.size() &&
-          sweep.cell(first).kind == exec::Cell::Kind::kSlotted) {
-        sweep.cell(first).resume_state =
-            ckpt_->take_wip(sweep.cell(first).label);
-      }
-      // Mid-run slotted capture needs the sequential session; under
-      // --jobs the checkpoint granularity is whole cells (see
-      // docs/PARALLEL.md), and --paranoid folds in here because the
-      // cells bypass CheckpointSession::run's own OR.
-      for (std::size_t i = first; i < sweep.size(); ++i) {
-        sweep.cell(i).experiment.paranoid |= ckpt_->paranoid();
-        sweep.cell(i).slotted.paranoid |= ckpt_->paranoid();
-      }
-    }
-    const std::size_t remaining = sweep.size() - first;
-    if (remaining == 0) {
-      return;
-    }
-
-    obs::FlowTracer* session_tracer = obs_.tracer_or_null();
-    std::vector<std::unique_ptr<exec::CellArtifacts>> artifacts(sweep.size());
-    std::vector<std::optional<exec::CellOutput>> outputs(sweep.size());
-    exec::CellPool pool(jobs_);
+  /// exec::run_cells with the session's jobs and tracer, inside the one
+  /// catch. For run_sweep, loop cell k is `sweep` cell `first` + k: the
+  /// stall line names it, and a cell whose capture hook persisted its
+  /// mid-run state needs no final checkpoint. run_cells' cells are named
+  /// by their index.
+  void run_loop(
+      std::size_t count,
+      const std::function<void(std::size_t, obs::FlowTracer*)>& compute,
+      const std::function<void(std::size_t)>& commit,
+      const exec::Sweep* sweep = nullptr, std::size_t first = 0) {
+    std::size_t next = 0;  // the failing cell, when the loop throws
     try {
-      pool.run(
-          remaining,
-          [&](std::size_t k) {
-            const std::size_t i = first + k;
-            artifacts[i] = std::make_unique<exec::CellArtifacts>(
-                session_tracer != nullptr);
-            obs::ScopedRegistryBind bind(artifacts[i]->registry());
-            outputs[i] = sweep.compute(i, artifacts[i]->tracer());
-          },
-          [&](std::size_t k) {
-            const std::size_t i = first + k;
-            artifacts[i]->absorb(session_tracer);
-            const exec::Cell& cell = sweep.cell(i);
-            if (ckpt_) {
-              if (cell.kind == exec::Cell::Kind::kExperiment) {
-                ckpt_->commit_experiment(cell.label, *outputs[i]->experiment);
-              } else {
-                ckpt_->commit_slotted(cell.label, *outputs[i]->slotted);
-              }
-            }
-            sweep.commit(i, *outputs[i]);
-            outputs[i].reset();
-            artifacts[i].reset();
-          });
+      exec::run_cells(count, jobs_, obs_.tracer_or_null(), compute,
+                      [&](std::size_t k) {
+                        commit(k);
+                        next = k + 1;
+                      });
     } catch (const InterruptedError& e) {
-      fail(e.what(), CheckpointSession::interrupt_exit_code(e));
+      const int sig = e.signal_number();
+      fail(e.what(), sig > 0 ? 128 + sig : 3,
+           sweep != nullptr ? &sweep->cell(first + next) : nullptr);
     } catch (const fault::StallError& e) {
-      std::fprintf(stderr, "stall during parallel sweep: %s\n", e.what());
-      fail("watchdog stall", 3);
+      const exec::Cell* cell =
+          sweep != nullptr ? &sweep->cell(first + next) : nullptr;
+      const std::string label =
+          cell != nullptr ? cell->label : std::to_string(next);
+      std::fprintf(stderr, "stall during cell '%s': %s\n", label.c_str(),
+                   e.what());
+      fail("watchdog stall", 3, cell);
     }
   }
 
-  [[noreturn]] void fail(const std::string& why, int code) {
+  /// Checkpoints the committed prefix (unless the failing cell's capture
+  /// hook persisted its mid-run state just before the throw), flushes
+  /// partial artifacts as "interrupted", and exits with `code`.
+  [[noreturn]] void fail(const std::string& why, int code,
+                         const exec::Cell* failing) {
     if (ckpt_) {
-      ckpt_->fail_interrupted(why, code);  // checkpoints, flushes, exits
+      const bool captured = failing != nullptr &&
+                            static_cast<bool>(failing->slotted.on_checkpoint);
+      ckpt_->abort_interrupted(why, code, /*write=*/!captured);
     }
     obs_.finish("interrupted");
     std::fprintf(stderr, "interrupted (%s): partial artifacts flushed\n",

@@ -88,6 +88,9 @@ if [[ "$RUN_TIER2" == 1 ]]; then
   # pointer it borrows from the candidate cache: run it under ASan too.
   ./build-asan/bench/bench_ablation_noise --horizon 0.3 --paranoid \
       --watchdog 120
+  # The packet model under faults and audits, its cells on two threads.
+  ./build-asan/bench/bench_packet_vs_flow --fault-plan=random --paranoid \
+      --watchdog 120 --jobs 2
 
   # Kill-and-resume soak: SIGKILL a checkpointing bench the moment its
   # first checkpoint lands, resume from the newest file, and require the
@@ -95,7 +98,8 @@ if [[ "$RUN_TIER2" == 1 ]]; then
   # SIGKILL (not SIGINT) is the honest crash model — no handler runs, so
   # only the already-fsynced checkpoint can save the run. Covers both
   # checkpoint kinds: fig5 stores finished experiment cells; theorem1
-  # also snapshots genuine mid-run slotted state.
+  # also snapshots genuine mid-run slotted state, and at --jobs 2 (no
+  # mid-cell capture) checkpoints each slotted cell at its commit.
   echo "==== tier 2: kill-and-resume soak (ASan/UBSan) ===="
   CKPT_TMP="$(mktemp -d)"
   trap 'rm -rf "$CKPT_TMP" "${TRACE_TMP:-}"' EXIT
@@ -137,6 +141,8 @@ if [[ "$RUN_TIER2" == 1 ]]; then
   kill_and_resume fig5 1 ./build-asan/bench/bench_fig5_stability --horizon 0.3
   kill_and_resume theorem1 4000 ./build-asan/bench/bench_theorem1_slotted \
       --slots 60000
+  kill_and_resume theorem1_j2 4000 ./build-asan/bench/bench_theorem1_slotted \
+      --slots 60000 --jobs 2
 
   # Parallel-sweep determinism under ThreadSanitizer: run one sweep bench
   # at --jobs 4 in a TSan build (halt on the first race) and require its

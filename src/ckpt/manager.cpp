@@ -132,21 +132,8 @@ std::string CheckpointManager::write(const std::string& payload) {
   sync_dir(config_.dir);
   ++seq_;
   ++writes_;
-  last_write_ = std::chrono::steady_clock::now();
-  have_last_write_ = true;
   prune();
   return final_path;
-}
-
-std::string CheckpointManager::maybe_write(const std::string& payload) {
-  if (have_last_write_ && config_.min_wall_interval_sec > 0.0) {
-    const std::chrono::duration<double> since =
-        std::chrono::steady_clock::now() - last_write_;
-    if (since.count() < config_.min_wall_interval_sec) {
-      return {};
-    }
-  }
-  return write(payload);
 }
 
 void CheckpointManager::prune() {

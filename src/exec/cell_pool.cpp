@@ -116,9 +116,8 @@ void CellPool::run(std::size_t count,
   if (count == 0) {
     return;
   }
-  if (jobs_ <= 1 || count == 1) {
-    // The sequential path is exactly the pre-parallel bench loop:
-    // compute one cell, commit it, move on. No threads, no shards.
+  if (!parallel(count)) {
+    // Compute one cell, commit it, move on: no threads.
     for (std::size_t i = 0; i < count; ++i) {
       task(i);
       commit(i);

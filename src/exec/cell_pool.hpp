@@ -80,12 +80,16 @@ class CellPool {
 
   int jobs() const { return jobs_; }
 
+  /// Whether run(count, ...) spawns workers: more than one job and more
+  /// than one cell.
+  bool parallel(std::size_t count) const { return jobs_ > 1 && count > 1; }
+
   /// Runs `task(i)` for i in [0, count) on the workers and `commit(i)`
-  /// on the calling thread, in index order. With jobs() == 1 (or a
-  /// single cell) no threads are spawned and task/commit strictly
-  /// alternate — byte-identical to the pre-parallel code path. While a
-  /// parallel run is active, a heartbeat note reporting cells-in-flight
-  /// is installed (see obs::set_heartbeat_note).
+  /// on the calling thread, in index order. When !parallel(count) no
+  /// threads are spawned and task/commit strictly alternate on the
+  /// calling thread. While a parallel run is active, a heartbeat note
+  /// reporting cells-in-flight is installed (see
+  /// obs::set_heartbeat_note).
   void run(std::size_t count, const std::function<void(std::size_t)>& task,
            const std::function<void(std::size_t)>& commit);
 

@@ -1,11 +1,14 @@
 #include "exec/sweep.hpp"
 
+#include <memory>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
-#include "exec/artifacts.hpp"
 #include "exec/cell_pool.hpp"
+#include "obs/metrics.hpp"
 
 namespace basrpt::exec {
 
@@ -83,29 +86,43 @@ void Sweep::commit(std::size_t i, const CellOutput& out) const {
   }
 }
 
-void Sweep::run(int jobs, obs::FlowTracer* session_tracer) {
+void run_cells(
+    std::size_t count, int jobs, obs::FlowTracer* session_tracer,
+    const std::function<void(std::size_t, obs::FlowTracer*)>& compute,
+    const std::function<void(std::size_t)>& commit) {
   CellPool pool(jobs);
-  if (pool.jobs() <= 1 || size() <= 1) {
-    for (std::size_t i = 0; i < size(); ++i) {
-      commit(i, compute(i, nullptr));
-    }
+  if (!pool.parallel(count)) {
+    pool.run(
+        count, [&](std::size_t i) { compute(i, session_tracer); }, commit);
     return;
   }
-  const bool shard_trace = session_tracer != nullptr;
-  std::vector<std::unique_ptr<CellArtifacts>> artifacts(size());
-  std::vector<std::optional<CellOutput>> outputs(size());
+  // Concurrent cells must not write into the global registry or the
+  // session tracer, both single-threaded by contract. Each cell records
+  // into its own shard, and the commit folds the shards in submission
+  // order (FlowTracer::absorb renumbers runs), which reproduces what
+  // the calling-thread path writes into the shared objects.
+  struct Shard {
+    obs::Registry registry;
+    std::optional<obs::FlowTracer> tracer;
+  };
+  std::vector<std::unique_ptr<Shard>> shards(count);
   pool.run(
-      size(),
+      count,
       [&](std::size_t i) {
-        artifacts[i] = std::make_unique<CellArtifacts>(shard_trace);
-        obs::ScopedRegistryBind bind(artifacts[i]->registry());
-        outputs[i] = compute(i, artifacts[i]->tracer());
+        shards[i] = std::make_unique<Shard>();
+        if (session_tracer != nullptr) {
+          shards[i]->tracer.emplace();
+        }
+        obs::ScopedRegistryBind bind(&shards[i]->registry);
+        compute(i, shards[i]->tracer ? &*shards[i]->tracer : nullptr);
       },
       [&](std::size_t i) {
-        artifacts[i]->absorb(session_tracer);
-        commit(i, *outputs[i]);
-        outputs[i].reset();
-        artifacts[i].reset();
+        obs::Registry::global().merge_from(shards[i]->registry);
+        if (shards[i]->tracer) {
+          session_tracer->absorb(*shards[i]->tracer);
+        }
+        shards[i].reset();
+        commit(i);
       });
 }
 

@@ -1,15 +1,20 @@
-// Declarative sweep API: an ordered list of independent simulation
-// cells — flow-level experiments (core::run_experiment) or slotted
-// switch runs (switchsim::run_slotted) — each with a commit callback
-// that consumes its result in submission order.
+// Declarative sweep API and the one loop over sweep cells.
 //
-// A bench declares its cells up front, then hands the Sweep to
-// bench::RunSession::run_sweep (which layers checkpoint/resume and the
-// --jobs flag on top) or to Sweep::run directly (tests, checkpoint-free
-// callers). Cells must be independent: each one's config carries its
-// own seed, and nothing a cell computes may feed another cell's
-// *compute* (commit callbacks may chain state — they always run in
-// order, on one thread).
+// A Sweep is an ordered list of independent simulation cells —
+// flow-level experiments (core::run_experiment) or slotted switch runs
+// (switchsim::run_slotted) — each with a commit callback that consumes
+// its result in submission order. Cells must be independent: each
+// one's config carries its own seed, and nothing a cell computes may
+// feed another cell's *compute* (commit callbacks may chain state —
+// they always run in order, on one thread).
+//
+// run_cells is the only loop over sweep cells. bench::RunSession runs
+// every bench sweep through it (after replaying a checkpointed prefix)
+// and so do benches whose cells are arbitrary closures; tests call it
+// directly. At one job it computes and commits each cell on the calling
+// thread; otherwise the cells run on an exec::CellPool with per-cell
+// registry and tracer shards, absorbed right before each in-order
+// commit. Either way the output is the same (docs/PARALLEL.md).
 //
 // Seeding: benches that sweep a parameter usually run every cell at the
 // same workload seed so curves are paired. Benches that want distinct
@@ -58,8 +63,9 @@ struct Cell {
   std::function<switchsim::ArrivalStream()> make_stream;
   std::function<void(const switchsim::SlottedResult&)> on_slotted;
 
-  /// Mid-run resume state (set by the checkpoint layer, consumed by
-  /// compute). Shared_ptr: the state must outlive the worker-side run.
+  /// Mid-run resume state (set by the checkpoint layer's replay step,
+  /// consumed by compute). Shared_ptr: the state must outlive the
+  /// worker-side run.
   std::shared_ptr<switchsim::SlottedSimState> resume_state;
 };
 
@@ -68,6 +74,25 @@ struct CellOutput {
   std::optional<core::ExperimentResult> experiment;
   std::optional<switchsim::SlottedResult> slotted;
 };
+
+/// The one loop over sweep cells: runs `compute(i, tracer)` for i in
+/// [0, count) and `commit(i)` on the calling thread in index order, at
+/// `jobs` (resolve_jobs semantics).
+///
+///  * One job, or one cell: each cell is computed and then committed on
+///    the calling thread, against the global registry, with `tracer` =
+///    `session_tracer`.
+///  * Otherwise the cells run on an exec::CellPool. Each gets a shard:
+///    a registry bound to the worker around the compute, and as
+///    `tracer` a trace shard (null when `session_tracer` is). The shard
+///    is absorbed right before the cell's in-order commit.
+///
+/// Failures follow CellPool's rule: the exception of the lowest failing
+/// index propagates after every cell before it has committed.
+void run_cells(
+    std::size_t count, int jobs, obs::FlowTracer* session_tracer,
+    const std::function<void(std::size_t, obs::FlowTracer*)>& compute,
+    const std::function<void(std::size_t)>& commit);
 
 class Sweep {
  public:
@@ -94,14 +119,6 @@ class Sweep {
 
   /// Invokes cell i's commit callback (committer side).
   void commit(std::size_t i, const CellOutput& out) const;
-
-  /// Runs every cell at `jobs` (resolve_jobs semantics) without any
-  /// checkpoint layer: per-cell metric shards when obs::enabled(),
-  /// per-cell tracers merged into `session_tracer` when non-null,
-  /// commits in submission order. Benches with checkpoint support go
-  /// through bench::RunSession::run_sweep instead, which reuses the
-  /// same pool and artifact plumbing.
-  void run(int jobs, obs::FlowTracer* session_tracer = nullptr);
 
  private:
   std::vector<Cell> cells_;

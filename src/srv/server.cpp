@@ -42,7 +42,7 @@ Server::Server(const ServerConfig& config)
   if (!config_.ckpt_dir.empty()) {
     ckpt_ = std::make_unique<ckpt::CheckpointManager>(
         ckpt::CheckpointManagerConfig{config_.ckpt_dir, config_.run_id,
-                                      config_.ckpt_keep_last, 0.0});
+                                      config_.ckpt_keep_last});
   }
 }
 

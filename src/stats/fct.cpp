@@ -90,14 +90,4 @@ void FctAggregator::restore(const State& s) {
   }
 }
 
-void ThroughputMeter::deliver(Bytes amount) {
-  BASRPT_ASSERT(amount.count >= 0, "cannot deliver negative bytes");
-  delivered_ += amount;
-}
-
-Rate ThroughputMeter::average_rate(SimTime horizon) const {
-  BASRPT_ASSERT(horizon.seconds > 0.0, "horizon must be positive");
-  return Rate{static_cast<double>(delivered_.count) * 8.0 / horizon.seconds};
-}
-
 }  // namespace basrpt::stats

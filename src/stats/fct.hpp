@@ -81,17 +81,4 @@ class FctAggregator {
   Bytes bytes_completed_{};
 };
 
-/// Tracks bytes leaving the fabric; throughput = delivered / horizon.
-class ThroughputMeter {
- public:
-  void deliver(Bytes amount);
-  Bytes delivered() const { return delivered_; }
-
-  /// Average delivered rate over [0, horizon].
-  Rate average_rate(SimTime horizon) const;
-
- private:
-  Bytes delivered_{};
-};
-
 }  // namespace basrpt::stats

@@ -1,15 +1,19 @@
 // Parallel sweep runner (src/exec) and the SchedulerSpec text format:
 // ordered-commit determinism of CellPool, metric-shard merge semantics,
-// tracer absorption, sweep-level jobs=1 vs jobs=N bitwise equivalence,
-// checkpoint resume in the middle of a parallel sweep, and the
-// parse/to_string round-trip.
+// tracer absorption, sweep-level jobs=1 vs jobs=N bitwise equivalence
+// through the one loop, the bench session around it (shared-flag
+// wiring, checkpoint resume at any jobs, the interrupt exit, the plot
+// directory), and the parse/to_string round-trip.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -19,13 +23,19 @@
 #include "bench_common.hpp"
 #include "run_session.hpp"
 
+#include "ckpt/snapshot.hpp"
 #include "common/assert.hpp"
+#include "common/interrupt.hpp"
+#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "exec/cell_pool.hpp"
 #include "exec/sweep.hpp"
+#include "fault/watchdog.hpp"
+#include "flowsim/flow_sim.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "pktsim/packet_sim.hpp"
 #include "sched/factory.hpp"
 #include "switchsim/arrivals.hpp"
 #include "switchsim/slotted_sim.hpp"
@@ -332,6 +342,18 @@ void expect_same_result(const core::ExperimentResult& a,
   EXPECT_EQ(a.scheduler_name, b.scheduler_name);
 }
 
+/// Runs every cell of `sweep` through the one loop, without a session.
+void run_through_loop(exec::Sweep& sweep, int jobs,
+                      obs::FlowTracer* tracer = nullptr) {
+  std::vector<std::optional<exec::CellOutput>> outputs(sweep.size());
+  exec::run_cells(
+      sweep.size(), jobs, tracer,
+      [&](std::size_t i, obs::FlowTracer* cell_tracer) {
+        outputs[i] = sweep.compute(i, cell_tracer);
+      },
+      [&](std::size_t i) { sweep.commit(i, *outputs[i]); });
+}
+
 std::vector<core::ExperimentResult> run_experiment_sweep(
     int jobs, obs::FlowTracer* tracer) {
   std::vector<core::ExperimentResult> results;
@@ -343,7 +365,7 @@ std::vector<core::ExperimentResult> run_experiment_sweep(
     sweep.add("cell" + std::to_string(i), config,
               [&](const core::ExperimentResult& r) { results.push_back(r); });
   }
-  sweep.run(jobs, tracer);
+  run_through_loop(sweep, jobs, tracer);
   return results;
 }
 
@@ -399,7 +421,7 @@ std::vector<switchsim::SlottedResult> run_slotted_sweep(int jobs) {
         },
         [&](const switchsim::SlottedResult& r) { results.push_back(r); });
   }
-  sweep.run(jobs);
+  run_through_loop(sweep, jobs);
   return results;
 }
 
@@ -557,6 +579,291 @@ TEST(RunSession, FaultPlanLineNamesTheHorizonUnit) {
     bench::RunSession session(cli, "exec_unit_seconds", 4, seconds(1.0));
   });
   EXPECT_TRUE(timed.ends_with("] s\n")) << timed;
+}
+
+TEST(RunSession, ApplySetsEverySharedFlagOnEveryConfigKind) {
+  TempDir tmp;
+  const std::string trace = (tmp.path / "trace.json").string();
+  CliParser cli("test_exec", "apply");
+  const char* argv[] = {"test_exec",   "--paranoid",  "--fault-plan=random",
+                        "--watchdog",  "60",          "--trace",
+                        trace.c_str(), "--heartbeat", "30"};
+  ASSERT_TRUE(bench::parse_common(cli, 9, argv));
+  const LogLevel level = log_level();  // --heartbeat raises it to INFO
+  bench::RunSession session(cli, "exec_apply", 4, seconds(1.0),
+                            bench::RunSession::Checkpointing::kNone);
+  set_log_level(level);
+  ASSERT_TRUE(session.fault_active());
+  const auto applied = [&](auto config) {
+    session.apply(config);
+    EXPECT_NE(config.tracer, nullptr);
+    EXPECT_EQ(config.fault_plan, &session.fault_plan());
+    EXPECT_EQ(config.watchdog.stall_wall_sec, 60.0);
+    EXPECT_TRUE(config.paranoid);
+    return config;
+  };
+  EXPECT_EQ(applied(core::ExperimentConfig{}).heartbeat_wall_sec, 30.0);
+  EXPECT_EQ(applied(flowsim::FlowSimConfig{}).heartbeat_wall_sec, 30.0);
+  EXPECT_EQ(applied(switchsim::SlottedConfig{}).heartbeat_wall_sec, 30.0);
+  applied(pktsim::PacketSimConfig{});  // the packet model has no heartbeat
+}
+
+void expect_same_slotted(const switchsim::SlottedResult& a,
+                         const switchsim::SlottedResult& b) {
+  EXPECT_EQ(a.backlog_packets.mean(), b.backlog_packets.mean());
+  EXPECT_EQ(a.penalty.mean(), b.penalty.mean());
+  EXPECT_EQ(a.delivered_packets, b.delivered_packets);
+  EXPECT_EQ(a.left_packets, b.left_packets);
+  EXPECT_EQ(a.scheduler_invocations, b.scheduler_invocations);
+  EXPECT_EQ(a.fct.summary(stats::FlowClass::kQuery).mean_seconds,
+            b.fct.summary(stats::FlowClass::kQuery).mean_seconds);
+}
+
+/// Results of a slotted session sweep, and the global registry's decide
+/// calls read at each commit (cumulative; 0 without --metrics).
+struct SlottedRun {
+  std::vector<switchsim::SlottedResult> results;
+  std::vector<std::uint64_t> decides;
+};
+
+/// Declares `count` slotted cells of 2000 slots (fast BASRPT, V = 10,
+/// 20, ...) on `session` and runs them.
+SlottedRun run_session_slotted(bench::RunSession& session,
+                               std::size_t count) {
+  SlottedRun run;
+  const auto rates = switchsim::skewed_rates(4, 0.8, 0.6);
+  switchsim::SizeMix mix;
+  mix.small = 1;
+  mix.large = 8;
+  mix.p_small = 0.9;
+  exec::Sweep sweep;
+  for (std::size_t i = 0; i < count; ++i) {
+    switchsim::SlottedConfig config;
+    config.n_ports = 4;
+    config.horizon = 2000;
+    config.sample_every = 16;
+    session.apply(config);
+    const double v = 10.0 * static_cast<double>(i + 1);
+    sweep.add_slotted(
+        "v" + std::to_string(i), config,
+        [v] {
+          return sched::make_scheduler(sched::SchedulerSpec::fast_basrpt(v));
+        },
+        [rates, mix] {
+          return switchsim::bernoulli_arrivals(rates, mix, 2000, Rng(3));
+        },
+        [&run](const switchsim::SlottedResult& r) {
+          run.results.push_back(r);
+          run.decides.push_back(
+              obs::Registry::global().phase(obs::Phase::kDecide).calls);
+        });
+  }
+  session.run_sweep(sweep);
+  return run;
+}
+
+std::size_t count_of(const std::string& text, const std::string& what) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(what); at != std::string::npos;
+       at = text.find(what, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(RunSession, SlottedSweepAtJobsTwoCheckpointsEveryCell) {
+  TempDir tmp;
+  const std::string dir = tmp.path.string();
+  CliParser cli("test_exec", "slotted jobs 2");
+  const char* argv[] = {"test_exec", "--checkpoint-dir", dir.c_str(),
+                        "--checkpoint-every", "500", "--jobs", "2"};
+  ASSERT_TRUE(bench::parse_common(cli, 7, argv));
+  bench::RunSession session(cli, "exec_slotted_j2", 4, switchsim::Slot{2000});
+  ::testing::internal::CaptureStderr();
+  run_session_slotted(session, 3);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  // No mid-cell capture at --jobs > 1, so each committed cell writes one
+  // checkpoint of the committed prefix.
+  EXPECT_EQ(count_of(err, "checkpoint: wrote "), 3u) << err;
+  EXPECT_EQ(count_of(err, "mid-run state"), 0u) << err;
+  for (const char* prefix : {"(1 cells)", "(2 cells)", "(3 cells)"}) {
+    EXPECT_EQ(count_of(err, prefix), 1u) << prefix << "\n" << err;
+  }
+}
+
+TEST(RunSession, MidCellSlottedCheckpointResumesAtAnyJobs) {
+  TempDir tmp;
+  const std::string dir = tmp.path.string();
+  // --metrics arms the phase counters: a cell resumed mid-run decides
+  // only in the slots after its checkpoint.
+  const std::string metrics = (tmp.path / "unused.json").string();
+  const bool was_enabled = obs::enabled();
+  SlottedRun reference;
+  {
+    CliParser cli("test_exec", "reference");
+    const char* argv[] = {"test_exec", "--metrics", metrics.c_str()};
+    ASSERT_TRUE(bench::parse_common(cli, 3, argv));
+    bench::RunSession session(cli, "exec_midcell", 4, switchsim::Slot{2000});
+    reference = run_session_slotted(session, 4);
+  }
+  ASSERT_EQ(reference.decides.size(), 4u);
+  const std::uint64_t cell1_decides =
+      reference.decides[1] - reference.decides[0];
+  ASSERT_GT(cell1_decides, 0u);
+
+  // Phase 1 at --jobs 1: the first two cells, captured every 500 slots.
+  // Rotation keeps the newest three files, all taken inside cell 1.
+  {
+    CliParser cli("test_exec", "phase1");
+    const char* argv[] = {"test_exec", "--checkpoint-dir", dir.c_str(),
+                          "--checkpoint-every", "500"};
+    ASSERT_TRUE(bench::parse_common(cli, 5, argv));
+    bench::RunSession session(cli, "exec_midcell", 4, switchsim::Slot{2000});
+    ::testing::internal::CaptureStderr();
+    run_session_slotted(session, 2);
+    ::testing::internal::GetCapturedStderr();
+  }
+  std::string midcell;
+  for (const auto& entry : fs::directory_iterator(tmp.path)) {
+    if (entry.path().extension() != ".ckpt") {
+      continue;
+    }
+    const ckpt::Snapshot snap =
+        ckpt::Snapshot::from_file(entry.path().string());
+    ckpt::SectionReader meta = snap.reader("meta");
+    (void)meta.text("bench");
+    (void)meta.text("fingerprint");
+    const std::uint64_t cells = meta.u64("cells");
+    for (std::uint64_t i = 0; i < cells; ++i) {
+      (void)meta.text("cell");
+    }
+    if (cells == 1 && meta.u64("wip") == 1) {
+      midcell = entry.path().string();
+    }
+  }
+  ASSERT_FALSE(midcell.empty()) << "no checkpoint taken inside cell 1";
+
+  // Resume all four cells from that file: cell 0 replays, cell 1
+  // continues from its mid-run state, cells 2-3 run fresh.
+  for (const char* jobs : {"1", "4"}) {
+    SCOPED_TRACE(std::string("jobs ") + jobs);
+    CliParser cli("test_exec", "resume");
+    const char* argv[] = {"test_exec", "--resume", midcell.c_str(),
+                          "--metrics", metrics.c_str(), "--jobs", jobs};
+    ASSERT_TRUE(bench::parse_common(cli, 7, argv));
+    bench::RunSession session(cli, "exec_midcell", 4, switchsim::Slot{2000});
+    ::testing::internal::CaptureStderr();
+    const SlottedRun resumed = run_session_slotted(session, 4);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(count_of(err, "cell 'v0' replayed"), 1u) << err;
+    EXPECT_EQ(count_of(err, "cell 'v1' resuming mid-run at slot"), 1u)
+        << err;
+    ASSERT_EQ(resumed.results.size(), 4u);
+    EXPECT_EQ(resumed.decides[0], 0u);  // replayed, not recomputed
+    EXPECT_GT(resumed.decides[1], 0u);
+    EXPECT_LT(resumed.decides[1], cell1_decides);
+    for (std::size_t i = 0; i < 4; ++i) {
+      SCOPED_TRACE("cell " + std::to_string(i));
+      expect_same_slotted(resumed.results[i], reference.results[i]);
+    }
+  }
+  obs::set_enabled(was_enabled);
+  obs::Registry::global().reset();
+}
+
+TEST(RunSession, InterruptedRunCellsTaskExitsThroughTheSession) {
+  TempDir tmp;
+  fs::create_directories(tmp.path);
+  const std::string metrics = (tmp.path / "metrics.json").string();
+  const auto interrupted_sweep = [&] {
+    CliParser cli("test_exec", "interrupted");
+    const char* argv[] = {"test_exec", "--metrics", metrics.c_str(),
+                          "--jobs", "2"};
+    if (!bench::parse_common(cli, 5, argv)) {
+      std::exit(1);
+    }
+    bench::RunSession session(cli, "exec_interrupt", 4, seconds(1.0),
+                              bench::RunSession::Checkpointing::kNone);
+    session.run_cells(
+        4,
+        [](std::size_t i, obs::FlowTracer*) {
+          if (i == 2) {
+            throw InterruptedError(SIGINT);
+          }
+        },
+        [](std::size_t) {});
+    std::exit(0);
+  };
+  EXPECT_EXIT(interrupted_sweep(), ::testing::ExitedWithCode(128 + SIGINT),
+              "interrupted \\(interrupted by SIGINT\\): partial artifacts "
+              "flushed");
+  std::ifstream in(metrics);
+  const std::string doc((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  EXPECT_NE(doc.find("\"interrupted\""), std::string::npos) << doc;
+}
+
+TEST(RunSession, StallInAParallelSweepNamesTheCell) {
+  const auto stalled_sweep = [] {
+    CliParser cli("test_exec", "stalled");
+    const char* argv[] = {"test_exec", "--jobs", "2"};
+    if (!bench::parse_common(cli, 3, argv)) {
+      std::exit(1);
+    }
+    bench::RunSession session(cli, "exec_stall", 4, switchsim::Slot{200});
+    const auto rates = switchsim::skewed_rates(4, 0.8, 0.6);
+    switchsim::SizeMix mix;
+    exec::Sweep sweep;
+    for (int i = 0; i < 3; ++i) {
+      switchsim::SlottedConfig config;
+      config.n_ports = 4;
+      config.horizon = 200;
+      sweep.add_slotted(
+          "cell" + std::to_string(i), config,
+          [i]() -> sched::SchedulerPtr {
+            if (i == 1) {
+              throw fault::StallError("sim-time frozen");
+            }
+            return sched::make_scheduler(sched::SchedulerSpec::srpt());
+          },
+          [rates, mix] {
+            return switchsim::bernoulli_arrivals(rates, mix, 200, Rng(3));
+          },
+          [](const switchsim::SlottedResult&) {});
+    }
+    session.run_sweep(sweep);
+    std::exit(0);
+  };
+  EXPECT_EXIT(stalled_sweep(), ::testing::ExitedWithCode(3),
+              "stall during cell 'cell1': sim-time frozen");
+}
+
+// -------------------------------------------------------- plot directory
+
+TEST(PlotDir, MissingNestedDirectoryIsCreated) {
+  TempDir tmp;
+  const std::string dir = (tmp.path / "figs" / "run1").string();
+  CliParser cli("test_exec", "plot dir");
+  cli.text("plot-dir", "", "figure files");
+  const char* argv[] = {"test_exec", "--plot-dir", dir.c_str()};
+  ASSERT_TRUE(bench::parse_common(cli, 3, argv));
+  EXPECT_EQ(bench::plot_dir(cli), dir);
+  EXPECT_TRUE(fs::is_directory(dir));
+}
+
+TEST(PlotDir, UncreatableDirectoryExitsTwo) {
+  TempDir tmp;
+  fs::create_directories(tmp.path);
+  const fs::path file = tmp.path / "regular";
+  std::ofstream(file) << "not a directory\n";
+  const std::string dir = (file / "plots").string();
+  CliParser cli("test_exec", "plot dir");
+  cli.text("plot-dir", "", "figure files");
+  const char* argv[] = {"test_exec", "--plot-dir", dir.c_str()};
+  ASSERT_TRUE(bench::parse_common(cli, 3, argv));
+  EXPECT_EXIT(bench::plot_dir(cli), ::testing::ExitedWithCode(2),
+              "error: --plot-dir ");
+  EXPECT_FALSE(fs::exists(dir));
 }
 
 /// One --profile --metrics session over four cells at `jobs`; returns

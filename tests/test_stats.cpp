@@ -8,7 +8,6 @@
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "stats/fct.hpp"
-#include "stats/histogram.hpp"
 #include "stats/percentile.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
@@ -136,36 +135,6 @@ TEST(P2Quantile, ExactForFewerThanFiveSamples) {
 TEST(P2Quantile, RejectsDegenerateQuantile) {
   EXPECT_THROW(P2Quantile(0.0), ConfigError);
   EXPECT_THROW(P2Quantile(1.0), ConfigError);
-}
-
-// -------------------------------------------------------------- histogram
-
-TEST(LogHistogram, CountsAndQuantiles) {
-  LogHistogram h(1e-6, 1e2, 10);
-  Rng rng(4);
-  for (int i = 0; i < 50'000; ++i) {
-    h.add(rng.exponential(1.0));
-  }
-  EXPECT_EQ(h.total(), 50'000);
-  EXPECT_NEAR(h.quantile(0.5), std::log(2.0), 0.15);
-}
-
-TEST(LogHistogram, UnderAndOverflowTracked) {
-  LogHistogram h(1.0, 10.0, 5);
-  h.add(0.5);
-  h.add(100.0);
-  h.add(5.0);
-  EXPECT_EQ(h.underflow(), 1);
-  EXPECT_EQ(h.overflow(), 1);
-  EXPECT_EQ(h.total(), 3);
-}
-
-TEST(LogHistogram, RenderShowsNonEmptyBuckets) {
-  LogHistogram h(1.0, 1000.0, 2);
-  h.add(5.0);
-  h.add(5.5);
-  const std::string out = h.render();
-  EXPECT_NE(out.find('*'), std::string::npos);
 }
 
 // ------------------------------------------------------------- timeseries
@@ -297,13 +266,6 @@ TEST(FctAggregator, SlowdownZeroWithoutIdeals) {
   FctAggregator agg;
   agg.record(FlowClass::kQuery, milliseconds(2.0), 20_KB);
   EXPECT_DOUBLE_EQ(agg.summary(FlowClass::kQuery).mean_slowdown, 0.0);
-}
-
-TEST(ThroughputMeter, AverageRate) {
-  ThroughputMeter meter;
-  meter.deliver(125_MB);  // 1 Gbit
-  EXPECT_NEAR(meter.average_rate(seconds(1.0)).bits_per_sec, 1e9, 1.0);
-  EXPECT_NEAR(meter.average_rate(seconds(2.0)).bits_per_sec, 5e8, 1.0);
 }
 
 // ------------------------------------------------------------------ table
