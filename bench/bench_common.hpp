@@ -85,16 +85,17 @@ inline bool parse_common(CliParser& cli, int argc, const char* const* argv) {
             "abort with diagnostics after N wall-seconds of frozen "
             "sim-time (0 = off)")
       .flag("paranoid", false,
-            "audit conservation ledgers at every sampling instant; abort "
-            "on the first imbalance")
+            "audit conservation ledgers at every sampling instant and "
+            "every 1000th flow-level decision; abort on the first "
+            "imbalance or difference")
       .text("checkpoint-dir", "",
             "write crash-safe checkpoints here (see docs/CHECKPOINT.md); "
             "empty disables")
       .integer("checkpoint-every", 0,
                "checkpoint cadence: completed cells for figure benches; "
                "slots inside a cell for slotted benches at --jobs 1, "
-               "which at --jobs > 1 checkpoint every cell (0 = per cell "
-               "/ on interrupt)")
+               "which also checkpoint every cell at its commit (0 = per "
+               "cell / on interrupt)")
       .text("resume", "",
             "resume from a checkpoint file, or 'latest' to pick the "
             "newest in --checkpoint-dir")

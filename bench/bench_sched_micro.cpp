@@ -222,7 +222,7 @@ std::vector<std::pair<PortId, int>> perf_sizes(sched::Policy policy) {
 
 /// The simulators' decision path under churn: a cache over a live
 /// VoqMatrix, refreshed and decided on after every small mutation, so
-/// the greedy schedulers' kept order is what gets measured. Each step
+/// the greedy schedulers' kept matching is what gets measured. Each step
 /// is one completion event followed by one arrival: the previous
 /// decision's flows drain by the same amount (equal rates), which
 /// completes the one closest to done, and one flow is admitted. One

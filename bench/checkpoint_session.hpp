@@ -179,14 +179,12 @@ class CheckpointSession {
   /// Ordered commit of a computed cell: records it and honours the
   /// checkpoint cadence. `--checkpoint-every` counts cells for
   /// experiment cells; for slotted cells it is a slot cadence inside the
-  /// run, so a slotted cell that ran without mid-cell capture (at
-  /// --jobs > 1) checkpoints at its commit.
+  /// run, so every slotted cell also checkpoints at its commit — with
+  /// mid-cell capture (at --jobs 1) or without it.
   void record(const exec::Cell& cell, const exec::CellOutput& out) {
     keep(cell.label, out);
-    const bool uncaptured_slotted = cell.kind == exec::Cell::Kind::kSlotted &&
-                                    !cell.slotted.on_checkpoint;
     const std::int64_t every_cells =
-        every_ > 0 && !uncaptured_slotted ? every_ : 1;
+        every_ > 0 && cell.kind != exec::Cell::Kind::kSlotted ? every_ : 1;
     if (enabled() &&
         static_cast<std::int64_t>(cells_.size()) % every_cells == 0) {
       write_checkpoint(nullptr, "");

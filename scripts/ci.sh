@@ -78,7 +78,8 @@ if [[ "$RUN_TIER2" == 1 ]]; then
   # good at catching. Short horizon keeps it a soak, not a benchmark.
   # --paranoid audits the byte and flow ledgers at every sample, so the
   # in-place drain of VOQ heads is checked under rate clamps and
-  # re-arrivals.
+  # re-arrivals, and decides every 1,000th decision again from scratch,
+  # so the matching repair is checked under masked ports too.
   echo "==== tier 2: fault-injection soak (ASan/UBSan) ===="
   ./build-asan/bench/bench_fault_resilience --horizon 0.5 --watchdog 120
   ./build-asan/bench/bench_fig5_stability \
@@ -91,6 +92,10 @@ if [[ "$RUN_TIER2" == 1 ]]; then
   # The packet model under faults and audits, its cells on two threads.
   ./build-asan/bench/bench_packet_vs_flow --fault-plan=random --paranoid \
       --watchdog 120 --jobs 2
+  # --paranoid also decides every 1,000th flow-level decision again from
+  # scratch: the matching repair is audited at the paper's 144 ports.
+  ./build-asan/bench/bench_fig5_stability --full --horizon 0.05 --paranoid \
+      --watchdog 120
 
   # Kill-and-resume soak: SIGKILL a checkpointing bench the moment its
   # first checkpoint lands, resume from the newest file, and require the

@@ -4,6 +4,7 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
+#include "sched/audited.hpp"
 #include "workload/generators.hpp"
 
 namespace basrpt::core {
@@ -12,7 +13,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   BASRPT_REQUIRE(config.load > 0.0 && config.load < 1.0,
                  "load must be in (0, 1)");
 
-  auto scheduler = sched::make_scheduler(config.scheduler);
+  sched::SchedulerPtr scheduler = sched::make_scheduler(config.scheduler);
+  if (config.paranoid) {
+    scheduler = std::make_unique<sched::AuditedScheduler>(
+        std::move(scheduler), sched::make_scheduler(config.scheduler));
+  }
 
   Rng rng(config.seed);
   auto traffic = workload::paper_mix(

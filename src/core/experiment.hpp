@@ -65,8 +65,10 @@ struct ExperimentConfig {
   const fault::FaultPlan* fault_plan = nullptr;
   /// No-progress stall watchdog; default-disabled.
   fault::WatchdogConfig watchdog{};
-  /// Conservation auditing at every sampling instant (--paranoid); the
-  /// run aborts with fault::InvariantError if the books stop balancing.
+  /// Conservation auditing at every sampling instant, and every
+  /// 1,000th decision decided again from scratch (sched::AuditedScheduler)
+  /// (--paranoid); the run aborts with fault::InvariantError if the books
+  /// stop balancing or a decision differs.
   bool paranoid = false;
 };
 

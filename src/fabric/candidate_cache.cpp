@@ -48,11 +48,21 @@ const sched::CandidateView& CandidateCache::refresh() {
   ++refreshes_;
   changed_.clear();
   if (voqs_.version() != seen_version_ || mask_epoch_ != seen_mask_epoch_) {
+    const std::vector<std::size_t>& non_empty = voqs_.non_empty_indices();
+    // With no port masked, after a refresh that packed every non-empty
+    // VOQ, each VOQ's lane position is its matrix position: only the
+    // dirty VOQs' positions need writing (a VOQ the matrix moved is
+    // dirty too).
+    const bool in_place = masked_ports_ == 0 && packed_in_place_;
+    if (in_place) {
+      packed_idx_.resize(non_empty.size());
+      soa_.resize_lanes(non_empty.size());
+    }
     for (const std::size_t idx : voqs_.dirty_voqs()) {
       const queueing::PortId i = voqs_.voq_ingress(idx);
       const queueing::PortId j = voqs_.voq_egress(idx);
       if (voqs_.flow_count(i, j) == 0) {
-        continue;  // drained empty; the repack below skips it
+        continue;  // drained empty; its position went to another VOQ
       }
       // Masked VOQs still recompute: entries_ stays warm so recovery is a
       // pure repack.
@@ -60,42 +70,52 @@ const sched::CandidateView& CandidateCache::refresh() {
                             entries_[idx]);
       recomputed_at_[idx] = refreshes_;
       ++voqs_recomputed_;
-    }
-    voqs_.clear_dirty();
-    seen_version_ = voqs_.version();
-    seen_mask_epoch_ = mask_epoch_;
-
-    // Repack in matrix order, rewriting only the positions whose VOQ
-    // moved there or was recomputed; every other position already holds
-    // its VOQ's current lanes.
-    const std::vector<std::size_t>& non_empty = voqs_.non_empty_indices();
-    const std::size_t before = packed_idx_.size();
-    packed_idx_.resize(non_empty.size());
-    soa_.resize_lanes(non_empty.size());
-    std::size_t m = 0;
-    for (const std::size_t idx : non_empty) {
-      if (masked_ports_ != 0) {
-        const auto i = static_cast<std::size_t>(voqs_.voq_ingress(idx));
-        const auto j = static_cast<std::size_t>(voqs_.voq_egress(idx));
-        if (port_ok_[i] == 0 || port_ok_[j] == 0) {
-          ++candidates_masked_;
-          continue;
-        }
-      }
-      const std::size_t k = m++;
-      if (k >= before || packed_idx_[k] != idx ||
-          recomputed_at_[idx] == refreshes_) {
+      if (in_place) {
+        const std::size_t k = voqs_.non_empty_position(idx);
         packed_idx_[k] = static_cast<std::uint32_t>(idx);
         write_lanes(k, idx);
       }
     }
-    packed_idx_.resize(m);
-    soa_.resize_lanes(m);
+    voqs_.clear_dirty();
+    seen_version_ = voqs_.version();
+    seen_mask_epoch_ = mask_epoch_;
+    if (!in_place) {
+      repack(non_empty);
+    }
+    packed_in_place_ = masked_ports_ == 0;
     view_ = soa_.view();
   }
   view_.changes_ = {id_, refreshes_, changed_.data(), changed_.size()};
   phase.add_work(changed_.size());
   return view_;
+}
+
+void CandidateCache::repack(const std::vector<std::size_t>& non_empty) {
+  // Repack in matrix order, rewriting only the positions whose VOQ
+  // moved there or was recomputed; every other position already holds
+  // its VOQ's current lanes.
+  const std::size_t before = packed_idx_.size();
+  packed_idx_.resize(non_empty.size());
+  soa_.resize_lanes(non_empty.size());
+  std::size_t m = 0;
+  for (const std::size_t idx : non_empty) {
+    if (masked_ports_ != 0) {
+      const auto i = static_cast<std::size_t>(voqs_.voq_ingress(idx));
+      const auto j = static_cast<std::size_t>(voqs_.voq_egress(idx));
+      if (port_ok_[i] == 0 || port_ok_[j] == 0) {
+        ++candidates_masked_;
+        continue;
+      }
+    }
+    const std::size_t k = m++;
+    if (k >= before || packed_idx_[k] != idx ||
+        recomputed_at_[idx] == refreshes_) {
+      packed_idx_[k] = static_cast<std::uint32_t>(idx);
+      write_lanes(k, idx);
+    }
+  }
+  packed_idx_.resize(m);
+  soa_.resize_lanes(m);
 }
 
 void CandidateCache::set_port_usable(queueing::PortId port, bool usable) {

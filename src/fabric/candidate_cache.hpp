@@ -11,19 +11,24 @@
 // produces, so order-sensitive schedulers (exact BASRPT's enumeration
 // ties, BvN's selection order) behave identically.
 //
-// Each refresh compares the packed VOQ order with the previous one and
-// rewrites only the lane positions whose VOQ is dirty or has moved (the
-// matrix's swap-remove moves one VOQ per emptied queue). The view lists
-// those positions in changes(), together with this cache's identity —
-// unique for the life of the process, never its address, so a cache
-// re-created in the same storage starts a new chain — and the refresh
-// sequence number. Greedy schedulers use it to re-sort only what
-// changed (matching::GreedyMatcher).
+// With no port masked, each VOQ's lane position is its position in the
+// matrix's non-empty list, so a refresh writes lanes only at the dirty
+// VOQs' positions. The matrix's swap-remove moves one VOQ per emptied
+// queue and marks it dirty, so every position whose VOQ changed is
+// among them. A masked fabric packs fewer entries than the matrix
+// holds; its refreshes (and the first one after the mask clears)
+// compare the whole packed VOQ order with the previous one and rewrite
+// the positions whose VOQ is dirty or has moved. The view lists the
+// rewritten positions in changes(), together with this cache's
+// identity — unique for the life of the process, never its address, so
+// a cache re-created in the same storage starts a new chain — and the
+// refresh sequence number. Greedy schedulers use it to repair their
+// matching from what changed (matching::GreedyMatcher).
 //
-// Steady-state cost per refresh: O(#dirty VOQs) candidate recomputes
-// and lane writes plus an O(#non-empty VOQs) index comparison, with
-// zero heap allocation once the lanes have warmed to the fabric's
-// footprint.
+// Steady-state cost per unmasked refresh: O(#dirty VOQs) candidate
+// recomputes and lane writes (a masked one adds an O(#non-empty VOQs)
+// index comparison), with zero heap allocation once the lanes have
+// warmed to the fabric's footprint.
 //
 // The cache consumes the matrix's dirty list (clear_dirty), so attach
 // at most one cache — or any single dirty-consuming observer — per
@@ -83,6 +88,10 @@ class CandidateCache {
   /// Writes entry `idx` into lane position `k` and lists `k` as changed.
   void write_lanes(std::size_t k, std::size_t idx);
 
+  /// Packs the usable non-empty VOQs in matrix order, rewriting the
+  /// positions whose VOQ moved there or was recomputed.
+  void repack(const std::vector<std::size_t>& non_empty);
+
   const queueing::VoqMatrix& voqs_;
   double unit_bytes_;
   bool with_arrival_;
@@ -100,6 +109,8 @@ class CandidateCache {
   std::size_t masked_ports_ = 0;
   std::uint64_t mask_epoch_ = 0;
   std::uint64_t seen_mask_epoch_ = 0;
+  // The last refresh packed every non-empty VOQ at its matrix position.
+  bool packed_in_place_ = false;
 
   std::vector<sched::VoqCandidate> entries_;  // dense, by flat VOQ index
   std::vector<std::uint64_t> recomputed_at_;  // refresh that last filled it

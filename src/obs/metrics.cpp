@@ -42,6 +42,8 @@ const char* phase_name(Phase phase) {
       return "fluid_advance";
     case Phase::kRateSolve:
       return "rate_solve";
+    case Phase::kMatchRepair:
+      return "match_repair";
     case Phase::kCount:
       break;
   }

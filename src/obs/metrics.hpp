@@ -163,11 +163,12 @@ enum class Phase : std::uint8_t {
   kLifecycleApply,   // fabric::FlowLifecycle::apply_decision
   kCheckpointWrite,  // ckpt::CheckpointManager durable write
   kScoreKernel,      // simd score-key computation over candidate lanes
-  kMatchSort,        // GreedyMatcher candidate ordering (sort and merge)
-  kAcceptScan,       // GreedyMatcher accept scan over the ordered entries
+  kMatchSort,        // GreedyMatcher full sort (untracked or rebuild)
+  kAcceptScan,       // GreedyMatcher accept scan (untracked or rebuild)
   kRunChunk,         // one sim::Engine::run_until call
   kFluidAdvance,     // flowsim's drain of the serving flows between events
   kRateSolve,        // flowsim's rate assignment for a new serving set
+  kMatchRepair,      // GreedyMatcher repair of a kept matching
   kCount
 };
 constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kCount);

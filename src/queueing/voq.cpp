@@ -44,6 +44,9 @@ void VoqMatrix::mark_empty(std::size_t idx) {
   position_[last] = pos;
   non_empty_.pop_back();
   position_[idx] = kNoPosition;
+  if (last != idx) {
+    mark_dirty(last);  // moved: its new position must be rewritten
+  }
 }
 
 void VoqMatrix::mark_dirty(std::size_t idx) {

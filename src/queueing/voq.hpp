@@ -106,9 +106,11 @@ class VoqMatrix {
   // state and only want to recompute what changed. The matrix stamps every
   // VOQ whose contents a mutation touched into a deduplicated dirty list
   // and bumps a version counter; a consumer compares versions, recomputes
-  // the dirty VOQs, and calls clear_dirty(). The bookkeeping is O(1) per
-  // mutation and bounded by one entry per VOQ, so an unconsumed list never
-  // grows past N^2.
+  // the dirty VOQs, and calls clear_dirty(). A VOQ that the non-empty
+  // list's swap-remove moves to another position is stamped too, so every
+  // position whose VOQ changed holds a dirty VOQ. The bookkeeping is O(1)
+  // per mutation and bounded by one entry per VOQ, so an unconsumed list
+  // never grows past N^2.
 
   /// Flat index of VOQ (i, j); the inverse of voq_ingress/voq_egress.
   std::size_t voq_index(PortId i, PortId j) const { return index(i, j); }
@@ -123,6 +125,11 @@ class VoqMatrix {
   /// for_each_non_empty_voq visits them.
   const std::vector<std::size_t>& non_empty_indices() const {
     return non_empty_;
+  }
+
+  /// Position of non-empty VOQ `idx` in non_empty_indices().
+  std::size_t non_empty_position(std::size_t idx) const {
+    return position_[idx];
   }
 
   /// Bumped on every content mutation (add_flow / drain / remove).

@@ -1,6 +1,9 @@
 #include "sched/candidate_view.hpp"
 
+#include <bit>
+
 #include "common/assert.hpp"
+#include "perf/profiler.hpp"
 
 namespace basrpt::sched {
 
@@ -83,6 +86,18 @@ void CandidateSoA::assign_from_view(const CandidateView& v) {
   }
 }
 
+void CandidateSoA::assign_at(const CandidateView& v, std::size_t k) {
+  ingress[k] = v.ingress()[k];
+  egress[k] = v.egress()[k];
+  backlog[k] = v.backlog()[k];
+  shortest_flow[k] = v.shortest_flow()[k];
+  shortest_remaining[k] = v.shortest_remaining()[k];
+  if (with_arrival) {
+    oldest_flow[k] = v.oldest_flow()[k];
+    oldest_arrival[k] = v.oldest_arrival()[k];
+  }
+}
+
 CandidateView CandidateSoA::view(const matching::LaneChanges& changes) const {
   const std::size_t n = ingress.size();
   const bool core_consistent =
@@ -105,6 +120,28 @@ CandidateView CandidateSoA::view(const matching::LaneChanges& changes) const {
   }
   v.changes_ = changes;
   return v;
+}
+
+const double* KeyLane::update(double p0, const CandidateView& view) {
+  perf::ScopedPhase phase(obs::Phase::kScoreKernel);
+  const matching::LaneChanges& changes = view.changes();
+  const std::uint64_t context = std::bit_cast<std::uint64_t>(p0);
+  const std::size_t n = view.size();
+  const matching::LaneChain::Step step = chain_.step(changes, context);
+  chain_.reset();
+  keys_.resize(n);
+  if (step == matching::LaneChain::Step::kRebuild) {
+    simd::compute_keys(op_, p0, p1_, view.shortest_remaining(),
+                       view.backlog(), n, keys_.data());
+    phase.add_work(n);
+  } else if (step == matching::LaneChain::Step::kNext) {
+    simd::compute_keys_at(op_, p0, p1_, view.shortest_remaining(),
+                          view.backlog(), changes.changed,
+                          changes.changed_count, keys_.data());
+    phase.add_work(changes.changed_count);
+  }
+  chain_.commit(changes, context);
+  return keys_.data();
 }
 
 }  // namespace basrpt::sched

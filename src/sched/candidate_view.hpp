@@ -13,10 +13,12 @@
 // lane gets a ConfigError, never silent zeros.
 //
 // A view from the cache also says which positions its refresh rewrote
-// (changes()), so greedy schedulers re-sort only those. Views built here
-// are untracked unless CandidateSoA::view is handed the change list to
-// carry: a decorator that copies the cache's lanes and rewrites each
-// position from that position's own lanes passes the cache's list on.
+// (changes()), so greedy schedulers repair their matching from those
+// alone, and key lanes (KeyLane) and decorators' lane copies rewrite
+// only those. Views built here are untracked unless CandidateSoA::view
+// is handed the change list to carry: a decorator that copies the
+// cache's lanes and rewrites each position from that position's own
+// lanes passes the cache's list on.
 #pragma once
 
 #include <cstddef>
@@ -25,6 +27,7 @@
 
 #include "matching/greedy.hpp"
 #include "queueing/flow.hpp"
+#include "simd/kernels.hpp"
 
 namespace basrpt::fabric {
 class CandidateCache;
@@ -134,12 +137,37 @@ class CandidateSoA {
   /// forwarding, and hand the source's changes() to view().
   void assign_from_view(const CandidateView& v);
 
+  /// Copies position `k` of `v`'s lanes into position `k`, which every
+  /// lane must already hold; arrival lanes are copied when present here.
+  void assign_at(const CandidateView& v, std::size_t k);
+
   /// Validating accessor: throws ConfigError if any present lane's
   /// length disagrees (a builder bug or a fuzzer-mutated view). The view
   /// carries `changes` (default: untracked). A caller that passes a
   /// producer's list vouches that every position it does not name holds
   /// the lanes it held at the producer's previous refresh.
   CandidateView view(const matching::LaneChanges& changes = {}) const;
+};
+
+/// A scheduler's key lane: one simd::compute_keys op over a view's
+/// shortest_remaining and backlog lanes. On a view that continues the
+/// chain the lane last saw (matching::LaneChain, with `p0` as context)
+/// only the changed positions are recomputed; the keys are the same
+/// bits either way.
+class KeyLane {
+ public:
+  /// `op` and `p1` are fixed for the lane's life.
+  KeyLane(simd::KeyOp op, double p1) : op_(op), p1_(p1) {}
+
+  /// Brings the keys up to `view` and returns them (`view.size()` keys,
+  /// valid until the next update).
+  const double* update(double p0, const CandidateView& view);
+
+ private:
+  simd::KeyOp op_;
+  double p1_;
+  std::vector<double> keys_;
+  matching::LaneChain chain_;
 };
 
 }  // namespace basrpt::sched

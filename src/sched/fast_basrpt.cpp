@@ -3,8 +3,6 @@
 #include <cstdio>
 
 #include "common/assert.hpp"
-#include "perf/profiler.hpp"
-#include "simd/kernels.hpp"
 
 namespace basrpt::sched {
 
@@ -21,20 +19,13 @@ std::string FastBasrptScheduler::name() const {
 void FastBasrptScheduler::decide_into(PortId n_ports,
                                       const CandidateView& candidates,
                                       Decision& out) {
-  const double weight = v_ / static_cast<double>(n_ports);
-  const std::size_t n = candidates.size();
-  keys_.resize(n);
-  {
-    // The per-VOQ SRPT representative also minimizes this key within its
-    // VOQ (the backlog term is common to all the VOQ's flows).
-    perf::ScopedPhase phase(obs::Phase::kScoreKernel);
-    simd::compute_keys(simd::KeyOp::kFastBasrpt, weight, 0.0,
-                       candidates.shortest_remaining(), candidates.backlog(),
-                       n, keys_.data());
-  }
-  matcher_.match_lanes_into(keys_.data(), candidates.ingress(),
-                            candidates.egress(), candidates.shortest_flow(),
-                            n, n_ports, n_ports, candidates.changes(),
+  // The per-VOQ SRPT representative also minimizes this key within its
+  // VOQ (the backlog term is common to all the VOQ's flows).
+  const double* keys =
+      keys_.update(v_ / static_cast<double>(n_ports), candidates);
+  matcher_.match_lanes_into(keys, candidates.ingress(), candidates.egress(),
+                            candidates.shortest_flow(), candidates.size(),
+                            n_ports, n_ports, candidates.changes(),
                             out.selected);
 }
 

@@ -28,7 +28,7 @@ class FastBasrptScheduler final : public Scheduler {
 
  private:
   double v_;
-  std::vector<double> keys_;
+  KeyLane keys_{simd::KeyOp::kFastBasrpt, 0.0};
   matching::GreedyMatcher matcher_;
 };
 

@@ -8,6 +8,12 @@
 // log-uniform in [1/error, error], before handing candidates to the
 // wrapped scheduler. Backlogs (which a switch measures directly) are
 // left exact. bench_ablation_noise quantifies the FCT/stability impact.
+//
+// The perturbed lanes persist across decisions. A position's perturbed
+// size depends only on its own size and flow id, so on a view that
+// continues the chain the copy last saw (matching::LaneChain) only the
+// changed positions are copied and perturbed, and the view handed on
+// carries the source's change list; any other view is copied whole.
 #pragma once
 
 #include "common/rng.hpp"
@@ -46,8 +52,10 @@ class NoisySizeScheduler final : public Scheduler {
 
   SchedulerPtr inner_;
   double error_;
+  double log_error_;
   std::uint64_t seed_;
   CandidateSoA noisy_;  // lane copy with perturbed shortest_remaining
+  matching::LaneChain chain_;
 };
 
 }  // namespace basrpt::sched

@@ -3,8 +3,6 @@
 #include <cstdio>
 
 #include "common/assert.hpp"
-#include "perf/profiler.hpp"
-#include "simd/kernels.hpp"
 
 namespace basrpt::sched {
 
@@ -22,22 +20,10 @@ std::string ThresholdSrptScheduler::name() const {
 void ThresholdSrptScheduler::decide_into(PortId n_ports,
                                          const CandidateView& candidates,
                                          Decision& out) {
-  // Two-class scoring: promoted VOQs sort strictly before everything
-  // else, each class internally ordered by remaining size. The class
-  // offset must dominate any remaining size; sizes are bounded by 50 MB
-  // (~3.4e4 packets), so 1e12 packets is a safe separator.
-  constexpr double kClassOffset = 1e12;
-  const std::size_t n = candidates.size();
-  keys_.resize(n);
-  {
-    perf::ScopedPhase phase(obs::Phase::kScoreKernel);
-    simd::compute_keys(simd::KeyOp::kThresholdSrpt, threshold_, kClassOffset,
-                       candidates.shortest_remaining(), candidates.backlog(),
-                       n, keys_.data());
-  }
-  matcher_.match_lanes_into(keys_.data(), candidates.ingress(),
-                            candidates.egress(), candidates.shortest_flow(),
-                            n, n_ports, n_ports, candidates.changes(),
+  const double* keys = keys_.update(threshold_, candidates);
+  matcher_.match_lanes_into(keys, candidates.ingress(), candidates.egress(),
+                            candidates.shortest_flow(), candidates.size(),
+                            n_ports, n_ports, candidates.changes(),
                             out.selected);
 }
 

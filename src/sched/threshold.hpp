@@ -26,8 +26,14 @@ class ThresholdSrptScheduler final : public Scheduler {
   double threshold() const { return threshold_; }
 
  private:
+  // Two-class scoring: promoted VOQs sort strictly before everything
+  // else, each class internally ordered by remaining size. The class
+  // offset must dominate any remaining size; sizes are bounded by 50 MB
+  // (~3.4e4 packets), so 1e12 packets is a safe separator.
+  static constexpr double kClassOffset = 1e12;
+
   double threshold_;
-  std::vector<double> keys_;
+  KeyLane keys_{simd::KeyOp::kThresholdSrpt, kClassOffset};
   matching::GreedyMatcher matcher_;
 };
 

@@ -19,6 +19,26 @@ void compute_keys(KeyOp op, double p0, double p1, const double* sr,
   }
 }
 
+void compute_keys_at(KeyOp op, double p0, double p1, const double* sr,
+                     const double* backlog, const std::uint32_t* at,
+                     std::size_t count, double* out) {
+  switch (op) {
+    case KeyOp::kFastBasrpt:
+      for (std::size_t k = 0; k < count; ++k) {
+        const std::uint32_t i = at[k];
+        const double prod = p0 * sr[i];
+        out[i] = prod - backlog[i];
+      }
+      break;
+    case KeyOp::kThresholdSrpt:
+      for (std::size_t k = 0; k < count; ++k) {
+        const std::uint32_t i = at[k];
+        out[i] = sr[i] + (backlog[i] > p0 ? 0.0 : p1);
+      }
+      break;
+  }
+}
+
 bool bounds_ok_i32(const std::int32_t* x, std::size_t n, std::int32_t limit) {
   // A negative value wraps past any non-negative limit as unsigned, so
   // one compare per element checks both ends; OR-ing the results instead

@@ -29,6 +29,12 @@ enum class KeyOp {
 void compute_keys(KeyOp op, double p0, double p1, const double* sr,
                   const double* backlog, std::size_t n, double* out);
 
+/// compute_keys at the `count` positions `at` lists only; each key is
+/// the same bits compute_keys writes there.
+void compute_keys_at(KeyOp op, double p0, double p1, const double* sr,
+                     const double* backlog, const std::uint32_t* at,
+                     std::size_t count, double* out);
+
 /// True iff 0 <= x[i] < limit for all i — the matcher's port-range
 /// validation over the ingress/egress lanes. Requires limit >= 0.
 bool bounds_ok_i32(const std::int32_t* x, std::size_t n, std::int32_t limit);

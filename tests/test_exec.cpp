@@ -23,6 +23,7 @@
 #include "bench_common.hpp"
 #include "run_session.hpp"
 
+#include "ckpt/manager.hpp"
 #include "ckpt/snapshot.hpp"
 #include "common/assert.hpp"
 #include "common/interrupt.hpp"
@@ -689,6 +690,39 @@ TEST(RunSession, SlottedSweepAtJobsTwoCheckpointsEveryCell) {
   for (const char* prefix : {"(1 cells)", "(2 cells)", "(3 cells)"}) {
     EXPECT_EQ(count_of(err, prefix), 1u) << prefix << "\n" << err;
   }
+}
+
+TEST(RunSession, FinishedSlottedSweepAtJobsOneEndsOnACheckpointOfEveryCell) {
+  // At --jobs 1 --checkpoint-every counts slots inside a slotted cell,
+  // so each cell is also checkpointed at its commit: once the sweep has
+  // finished, the newest checkpoint holds every cell and no mid-run
+  // state, and a resume from it recomputes nothing.
+  TempDir tmp;
+  const std::string dir = tmp.path.string();
+  CliParser cli("test_exec", "slotted jobs 1");
+  const char* argv[] = {"test_exec", "--checkpoint-dir", dir.c_str(),
+                        "--checkpoint-every", "500"};
+  ASSERT_TRUE(bench::parse_common(cli, 5, argv));
+  bench::RunSession session(cli, "exec_slotted_j1", 4, switchsim::Slot{2000});
+  ::testing::internal::CaptureStderr();
+  run_session_slotted(session, 3);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_GT(count_of(err, "mid-run state"), 0u) << err;
+  for (const char* prefix : {"(1 cells)", "(2 cells)", "(3 cells)"}) {
+    EXPECT_EQ(count_of(err, prefix), 1u) << prefix << "\n" << err;
+  }
+  const std::string latest =
+      ckpt::CheckpointManager::latest(dir, "exec_slotted_j1");
+  ASSERT_FALSE(latest.empty());
+  const ckpt::Snapshot snap = ckpt::Snapshot::from_file(latest);
+  ckpt::SectionReader meta = snap.reader("meta");
+  (void)meta.text("bench");
+  (void)meta.text("fingerprint");
+  ASSERT_EQ(meta.u64("cells"), 3u);
+  for (int i = 0; i < 3; ++i) {
+    (void)meta.text("cell");
+  }
+  EXPECT_EQ(meta.u64("wip"), 0u);
 }
 
 TEST(RunSession, MidCellSlottedCheckpointResumesAtAnyJobs) {

@@ -102,7 +102,7 @@ void expect_changes_cover_diff(const sched::CandidateView& got,
 /// change list must cover every position that differs from the
 /// previous view.
 void run_churn(queueing::PortId ports, double unit_bytes, bool with_arrival,
-               std::uint64_t seed) {
+               std::uint64_t seed, bool flip_masks = true) {
   Rng rng(seed);
   queueing::VoqMatrix voqs(ports);
   CandidateCache cache(voqs, unit_bytes, with_arrival);
@@ -111,13 +111,17 @@ void run_churn(queueing::PortId ports, double unit_bytes, bool with_arrival,
   prev.assign_from_view(cache.refresh());
   std::vector<queueing::FlowId> live;
   queueing::FlowId next_id = 0;
+  std::size_t masked = 0;
+  bool was_unmasked = true;
 
   for (int step = 0; step < 1500; ++step) {
     const double u = rng.uniform01();
-    if (u < 0.03) {
+    if (u < 0.03 && flip_masks) {
       const auto port =
           static_cast<queueing::PortId>(rng.uniform_int(0, ports - 1));
-      cache.set_port_usable(port, !cache.port_usable(port));
+      const bool usable = !cache.port_usable(port);
+      cache.set_port_usable(port, usable);
+      masked = usable ? masked - 1 : masked + 1;
     } else if (live.empty() || u < 0.5) {
       queueing::Flow f;
       f.id = next_id++;
@@ -152,7 +156,15 @@ void run_churn(queueing::PortId ports, double unit_bytes, bool with_arrival,
     // mutations (the steady-state pattern) as well as one at a time;
     // every 11th step refreshes twice, and the second lists nothing.
     if (step % 7 == 0 || step % 11 == 0 || step + 1 == 1500) {
+      const std::uint64_t recomputed = cache.voqs_recomputed();
       const sched::CandidateView& view = cache.refresh();
+      if (masked == 0 && was_unmasked) {
+        // Unmasked, lane positions are matrix positions: the refresh
+        // writes exactly the dirty VOQs that are still non-empty.
+        EXPECT_EQ(view.changes().changed_count,
+                  cache.voqs_recomputed() - recomputed);
+      }
+      was_unmasked = masked == 0;
       expect_candidates_equal(view, masked_oracle(voqs, cache), with_arrival);
       expect_changes_cover_diff(view, prev, source, cache.refreshes());
       prev.assign_from_view(view);
@@ -168,6 +180,15 @@ TEST(CandidateCache, MatchesFromScratchBuildUnderRandomChurn) {
     SCOPED_TRACE(ports);
     run_churn(ports, /*unit_bytes=*/1.0, /*with_arrival=*/true,
               /*seed=*/1000 + static_cast<std::uint64_t>(ports));
+  }
+}
+
+TEST(CandidateCache, UnmaskedRefreshWritesOnlyTheDirtyVoqs) {
+  for (const queueing::PortId ports : {2, 16, 33}) {
+    SCOPED_TRACE(ports);
+    run_churn(ports, /*unit_bytes=*/1.0, /*with_arrival=*/true,
+              /*seed=*/4200 + static_cast<std::uint64_t>(ports),
+              /*flip_masks=*/false);
   }
 }
 

@@ -288,10 +288,11 @@ TEST(FlowSimObs, PreemptionCountMatchesTracedPreemptions) {
 TEST(FlowSimObs, MatchSortWorkCountsOnlyChangedCandidates) {
   // Quick scale at load 0.95: between two decisions only the served
   // VOQs and one arrival or completion change, so the greedy matcher,
-  // which keeps its order across decisions, sorts far fewer entries
-  // than it decides over. The counts are exact, so the bound is too.
-  // The accept scan runs once per decision and stops at the last
-  // entry it needs, never past the candidates.
+  // which repairs its matching from what changed, sorts and scans only
+  // when it rebuilds (the first decision, and one after a refresh no
+  // decision saw), and its repair work (entries re-keyed plus cascade
+  // steps) is a small fraction of the candidates it decides over. The
+  // counts are exact, so the bounds are too.
   for (const bool basrpt : {false, true}) {
     FlowSimConfig config;
     config.fabric = topo::small_fabric(4, 6, 3);
@@ -317,15 +318,31 @@ TEST(FlowSimObs, MatchSortWorkCountsOnlyChangedCandidates) {
 
     const std::uint64_t candidates =
         registry.histograms().at("sched.candidates").sum();
+    const std::uint64_t decisions = registry.phase(obs::Phase::kDecide).calls;
     const obs::PhaseStats& sort = registry.phase(obs::Phase::kMatchSort);
-    ASSERT_GT(candidates, 0u) << scheduler.name();
-    EXPECT_GT(sort.work, 0u) << scheduler.name();
-    EXPECT_LT(2 * sort.work, candidates) << scheduler.name();
     const obs::PhaseStats& scan = registry.phase(obs::Phase::kAcceptScan);
-    EXPECT_EQ(scan.calls, registry.phase(obs::Phase::kDecide).calls)
+    const obs::PhaseStats& repair = registry.phase(obs::Phase::kMatchRepair);
+    ASSERT_GT(candidates, 0u) << scheduler.name();
+    // Every decision either rebuilds (sort, then a scan of every entry)
+    // or repairs; rebuilds are rare.
+    EXPECT_EQ(sort.calls + repair.calls, decisions) << scheduler.name();
+    EXPECT_EQ(scan.calls, sort.calls) << scheduler.name();
+    EXPECT_EQ(scan.work, sort.work) << scheduler.name();
+    EXPECT_GT(sort.calls, 0u) << scheduler.name();
+    EXPECT_LT(100 * sort.calls, decisions) << scheduler.name();
+    EXPECT_LT(50 * sort.work, candidates) << scheduler.name();
+    // A repair re-keys each changed or vanished position once (at most
+    // the positions the cache rewrote) and takes fewer than four
+    // cascade steps per decision on average; all of the matcher's work
+    // is under half the candidates, which the accept scan alone used to
+    // walk.
+    EXPECT_GT(repair.work, 0u) << scheduler.name();
+    EXPECT_LT(repair.work,
+              registry.phase(obs::Phase::kCandidateRepack).work +
+                  4 * decisions)
         << scheduler.name();
-    EXPECT_GT(scan.work, 0u) << scheduler.name();
-    EXPECT_LE(scan.work, candidates) << scheduler.name();
+    EXPECT_LT(2 * (sort.work + scan.work + repair.work), candidates)
+        << scheduler.name();
   }
 }
 

@@ -13,6 +13,7 @@
 #include "matching/greedy.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "matching/hungarian.hpp"
+#include "obs/metrics.hpp"
 
 namespace basrpt::matching {
 namespace {
@@ -86,6 +87,25 @@ TEST(Greedy, BlockedPortsSkipCandidates) {
   EXPECT_EQ(result.selected_payloads[0], 2);
 }
 
+/// Transposes AoS candidates into lanes and matches them, untracked.
+void match_aos(GreedyMatcher& matcher,
+               const std::vector<ScoredCandidate>& candidates, PortId n_left,
+               PortId n_right, std::vector<std::int64_t>& out) {
+  std::vector<double> score;
+  std::vector<PortId> left;
+  std::vector<PortId> right;
+  std::vector<std::int64_t> payload;
+  for (const ScoredCandidate& c : candidates) {
+    score.push_back(c.score);
+    left.push_back(c.left);
+    right.push_back(c.right);
+    payload.push_back(c.payload);
+  }
+  matcher.match_lanes_into(score.data(), left.data(), right.data(),
+                           payload.data(), candidates.size(), n_left, n_right,
+                           out);
+}
+
 // Oracle check for GreedyMatcher: its sort must pick exactly the
 // payloads greedy_maximal's stable_sort picks, in the same order.
 void expect_matcher_matches_oracle(std::vector<ScoredCandidate> candidates,
@@ -93,7 +113,7 @@ void expect_matcher_matches_oracle(std::vector<ScoredCandidate> candidates,
   const GreedyResult oracle = greedy_maximal(candidates, n_left, n_right);
   GreedyMatcher matcher;
   std::vector<std::int64_t> selected;
-  matcher.match_into(candidates, n_left, n_right, selected);
+  match_aos(matcher, candidates, n_left, n_right, selected);
   EXPECT_EQ(selected, oracle.selected_payloads);
 }
 
@@ -221,7 +241,7 @@ TEST(Greedy, MatcherReusedAcrossCallsStaysExact) {
            rng.uniform(0.0, 100.0), static_cast<std::int64_t>(k)});
     }
     const GreedyResult oracle = greedy_maximal(candidates, 32, 32);
-    matcher.match_into(candidates, 32, 32, selected);
+    match_aos(matcher, candidates, 32, 32, selected);
     EXPECT_EQ(selected, oracle.selected_payloads);
   }
 }
@@ -231,12 +251,279 @@ TEST(Greedy, RejectsPortCountsPastSixteenBits) {
   GreedyMatcher matcher;
   std::vector<std::int64_t> selected;
   const std::vector<ScoredCandidate> candidates = {{0, 1, 1.0, 7}};
-  matcher.match_into(candidates, 0xffff, 0xffff, selected);
+  match_aos(matcher, candidates, 0xffff, 0xffff, selected);
   EXPECT_EQ(selected, std::vector<std::int64_t>{7});
-  EXPECT_THROW(matcher.match_into(candidates, 0x10000, 2, selected),
+  EXPECT_THROW(match_aos(matcher, candidates, 0x10000, 2, selected),
                SimulationError);
-  EXPECT_THROW(matcher.match_into(candidates, 2, 0x10000, selected),
+  EXPECT_THROW(match_aos(matcher, candidates, 2, 0x10000, selected),
                SimulationError);
+}
+
+// --------------------------------------------------------- tracked repair
+
+/// A lane producer with the candidate cache's contract, driven by hand:
+/// one entry per VOQ, new entries appended, a removal filled by moving
+/// the last entry into its position, and each refresh listing the
+/// positions rewritten since the previous one.
+class LaneSource {
+ public:
+  LaneSource(PortId ports, std::uint64_t source)
+      : ports_(ports), source_(source) {}
+
+  std::size_t size() const { return score.size(); }
+  bool has(PortId l, PortId r) const {
+    for (std::size_t k = 0; k < size(); ++k) {
+      if (left[k] == l && right[k] == r) {
+        return true;
+      }
+    }
+    return false;
+  }
+  std::size_t position_of(std::int64_t id) const {
+    return static_cast<std::size_t>(
+        std::find(payload.begin(), payload.end(), id) - payload.begin());
+  }
+
+  void insert(PortId l, PortId r, double key, std::int64_t id) {
+    score.push_back(key);
+    left.push_back(l);
+    right.push_back(r);
+    payload.push_back(id);
+    touched_.push_back(static_cast<std::uint32_t>(size() - 1));
+  }
+  void set(std::size_t pos, double key, std::int64_t id) {
+    score[pos] = key;
+    payload[pos] = id;
+    touched_.push_back(static_cast<std::uint32_t>(pos));
+  }
+  void remove(std::size_t pos) {
+    const std::size_t last = size() - 1;
+    if (pos != last) {
+      score[pos] = score[last];
+      left[pos] = left[last];
+      right[pos] = right[last];
+      payload[pos] = payload[last];
+      touched_.push_back(static_cast<std::uint32_t>(pos));
+    }
+    score.pop_back();
+    left.pop_back();
+    right.pop_back();
+    payload.pop_back();
+  }
+
+  /// Ends a refresh: the positions still in the view that it rewrote,
+  /// once each.
+  LaneChanges refresh() {
+    changed_.clear();
+    for (const std::uint32_t pos : touched_) {
+      if (pos < size() &&
+          std::find(changed_.begin(), changed_.end(), pos) ==
+              changed_.end()) {
+        changed_.push_back(pos);
+      }
+    }
+    touched_.clear();
+    return {source_, ++seq_, changed_.data(), changed_.size()};
+  }
+
+  std::vector<ScoredCandidate> candidates() const {
+    std::vector<ScoredCandidate> out;
+    for (std::size_t k = 0; k < size(); ++k) {
+      out.push_back({left[k], right[k], score[k], payload[k]});
+    }
+    return out;
+  }
+
+  void match(GreedyMatcher& matcher, const LaneChanges& changes,
+             std::vector<std::int64_t>& out) const {
+    matcher.match_lanes_into(score.data(), left.data(), right.data(),
+                             payload.data(), size(), ports_, ports_, changes,
+                             out);
+  }
+
+  std::vector<double> score;
+  std::vector<PortId> left;
+  std::vector<PortId> right;
+  std::vector<std::int64_t> payload;
+
+ private:
+  PortId ports_;
+  std::uint64_t source_;
+  std::uint64_t seq_ = 0;
+  std::vector<std::uint32_t> touched_;
+  std::vector<std::uint32_t> changed_;
+};
+
+/// Binds a fresh registry with phase timing on, for reading the
+/// matcher's exact work counts.
+class PhaseProbe {
+ public:
+  PhaseProbe() : was_enabled_(obs::enabled()), bind_(&registry_) {
+    obs::set_enabled(true);
+  }
+  ~PhaseProbe() { obs::set_enabled(was_enabled_); }
+  const obs::PhaseStats& phase(obs::Phase p) const {
+    return registry_.phase(p);
+  }
+
+ private:
+  obs::Registry registry_;
+  bool was_enabled_;
+  obs::ScopedRegistryBind bind_;
+};
+
+TEST(GreedyRepair, MatchesTheOracleUnderRandomChurn) {
+  // Arbitrary rises and falls of matched and unmatched keys, head
+  // changes, exact score ties broken by payload (a coarse grid, signed
+  // zeros), inserts, removals that move the last entry, refreshes
+  // decided twice and refreshes never decided: every decision must be
+  // greedy_maximal's, in its order.
+  for (const PortId ports : {4, 8, 24, 144}) {
+    SCOPED_TRACE(ports);
+    Rng rng(static_cast<std::uint64_t>(ports) * 7919);
+    LaneSource src(ports, 0xabc0 + static_cast<std::uint64_t>(ports));
+    GreedyMatcher matcher;
+    std::vector<std::int64_t> selected;
+    std::int64_t next_id = 1;
+    const auto key = [&]() -> double {
+      const double u = rng.uniform01();
+      if (u < 0.3) {
+        return static_cast<double>(rng.uniform_int(-5, 15)) * 10.0;
+      }
+      if (u < 0.35) {
+        return rng.bernoulli(0.5) ? 0.0 : -0.0;
+      }
+      return rng.uniform(-100.0, 200.0);
+    };
+    const auto moved = [&](double k) -> double {
+      const double u = rng.uniform01();
+      if (u < 0.2) {
+        return static_cast<double>(rng.uniform_int(-5, 15)) * 10.0;
+      }
+      return k + (u < 0.6 ? -1.0 : 1.0) * rng.uniform(0.0, 60.0);
+    };
+    const auto admit = [&] {
+      for (int tries = 0; tries < 8; ++tries) {
+        const auto l = static_cast<PortId>(rng.uniform_int(0, ports - 1));
+        const auto r = static_cast<PortId>(rng.uniform_int(0, ports - 1));
+        if (!src.has(l, r)) {
+          src.insert(l, r, key(), next_id++);
+          return;
+        }
+      }
+    };
+    const std::size_t target = static_cast<std::size_t>(ports) * 3;
+    for (std::size_t k = 0; k < target; ++k) {
+      admit();
+    }
+    PhaseProbe probe;
+    for (int step = 0; step < 240; ++step) {
+      SCOPED_TRACE(step);
+      // Served entries: most fall, some rise, some change head.
+      for (const std::int64_t id : selected) {
+        const std::size_t pos = src.position_of(id);
+        const double u = rng.uniform01();
+        if (u < 0.6) {
+          src.set(pos, src.score[pos] - rng.uniform(0.0, 40.0), id);
+        } else if (u < 0.75) {
+          src.set(pos, moved(src.score[pos]), id);
+        } else if (u < 0.85) {
+          src.set(pos, key(), next_id++);
+        } else if (u < 0.9) {
+          src.remove(pos);
+        }
+      }
+      // Unmatched and matched alike: random re-keys and removals.
+      const int touches = static_cast<int>(rng.uniform_int(0, 4));
+      for (int t = 0; t < touches && src.size() > 0; ++t) {
+        const auto pos =
+            static_cast<std::size_t>(rng.uniform_int(0, src.size() - 1));
+        if (rng.bernoulli(0.3)) {
+          src.remove(pos);
+        } else {
+          src.set(pos, moved(src.score[pos]),
+                  rng.bernoulli(0.3) ? next_id++ : src.payload[pos]);
+        }
+      }
+      const int arrivals = step % 40 == 20 ? static_cast<int>(ports)
+                                           : static_cast<int>(
+                                                 rng.uniform_int(0, 3));
+      for (int a = 0; a < arrivals; ++a) {
+        admit();
+      }
+      LaneChanges changes = src.refresh();
+      if (step % 23 == 11) {
+        changes = src.refresh();  // the refresh before was never decided
+      }
+      const std::vector<std::int64_t> oracle =
+          greedy_maximal(src.candidates(), ports, ports).selected_payloads;
+      src.match(matcher, changes, selected);
+      ASSERT_EQ(selected, oracle);
+      if (step % 13 == 5) {
+        src.match(matcher, changes, selected);  // the same refresh again
+        ASSERT_EQ(selected, oracle);
+      }
+    }
+    // The repair, not the rebuild, decided most steps.
+    EXPECT_GT(probe.phase(obs::Phase::kMatchRepair).calls,
+              4 * probe.phase(obs::Phase::kMatchSort).calls);
+  }
+}
+
+TEST(GreedyRepair, DrainOnlyStepKeepsTheMatchingWithoutACascade) {
+  // Between two decisions only the served entries change, and their
+  // keys fall: the matching stands (the lemma), so the repair re-keys
+  // each changed entry and takes no cascade step. Equal drains keep the
+  // selection's order too; unequal ones may reorder it, as the oracle
+  // does.
+  const PortId ports = 24;
+  Rng rng(5);
+  LaneSource src(ports, 0xd0);
+  std::int64_t next_id = 1;
+  while (src.size() < 120) {
+    const auto l = static_cast<PortId>(rng.uniform_int(0, ports - 1));
+    const auto r = static_cast<PortId>(rng.uniform_int(0, ports - 1));
+    if (!src.has(l, r)) {
+      // Whole packets, so equal drains keep every order exactly.
+      src.insert(l, r, static_cast<double>(rng.uniform_int(1000, 9000)),
+                 next_id++);
+    }
+  }
+  GreedyMatcher matcher;
+  std::vector<std::int64_t> selected;
+  PhaseProbe probe;
+  src.match(matcher, src.refresh(), selected);
+  ASSERT_FALSE(selected.empty());
+  for (const bool equal : {true, false}) {
+    for (int round = 0; round < 5; ++round) {
+      SCOPED_TRACE(round);
+      const std::vector<std::int64_t> before = selected;
+      for (const std::int64_t id : selected) {
+        const std::size_t pos = src.position_of(id);
+        const double drained =
+            equal ? 7.0 : static_cast<double>(rng.uniform_int(1, 90));
+        src.set(pos, src.score[pos] - drained, id);
+      }
+      const LaneChanges changes = src.refresh();
+      const std::uint64_t work = probe.phase(obs::Phase::kMatchRepair).work;
+      src.match(matcher, changes, selected);
+      EXPECT_EQ(probe.phase(obs::Phase::kMatchRepair).work - work,
+                changes.changed_count);
+      EXPECT_EQ(selected,
+                greedy_maximal(src.candidates(), ports, ports)
+                    .selected_payloads);
+      if (equal) {
+        EXPECT_EQ(selected, before);
+      } else {
+        std::vector<std::int64_t> a = selected;
+        std::vector<std::int64_t> b = before;
+        std::sort(a.begin(), a.end());
+        std::sort(b.begin(), b.end());
+        EXPECT_EQ(a, b);
+      }
+    }
+  }
+  EXPECT_EQ(probe.phase(obs::Phase::kMatchSort).calls, 1u);
 }
 
 // ------------------------------------------------------------ HopcroftKarp

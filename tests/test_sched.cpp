@@ -9,9 +9,11 @@
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "fabric/candidate_cache.hpp"
+#include "fault/auditor.hpp"
 #include "matching/hungarian.hpp"
 #include "obs/metrics.hpp"
 #include "queueing/voq.hpp"
+#include "sched/audited.hpp"
 #include "sched/bvn_scheduler.hpp"
 #include "sched/exact_basrpt.hpp"
 #include "sched/factory.hpp"
@@ -473,7 +475,7 @@ class Forwarding final : public Scheduler {
   Scheduler& inner_;
 };
 
-/// The GreedyMatcher-based schedulers, whose order is kept across
+/// The GreedyMatcher-based schedulers, whose matching is kept across
 /// decisions.
 const char* const kGreedySpecs[] = {"srpt", "fast-basrpt:v=2500",
                                     "threshold-srpt:threshold=300", "fifo"};
@@ -493,23 +495,33 @@ std::vector<FlowId> fresh_decision(const char* spec, PortId n_ports,
   return decide_aos(*fresh, n_ports, usable).selected;
 }
 
+/// The matcher's exact work over a churn run.
+struct ChurnWork {
+  std::uint64_t candidates = 0;  // summed over decisions
+  std::uint64_t decisions = 0;
+  std::uint64_t rebuilds = 0;    // decisions that had to rebuild
+  std::uint64_t rekeyed = 0;     // changed and vanished positions repaired
+  std::uint64_t sort_calls = 0;
+  std::uint64_t sort_work = 0;
+  std::uint64_t repair_work = 0;
+};
+
 /// Churn the simulators' way — drain what the last decision served,
 /// admit a few flows, now and then flip a port mask or admit a burst —
 /// and decide on refreshed cache views, including refreshes with no
 /// mutation in between, repeated decisions on one view, and now and
 /// then a refresh the scheduler skips. Each decision must equal a fresh
-/// scheduler's from-scratch decision. Returns the candidates decided
-/// over and the entries the matcher sorted.
-std::pair<std::uint64_t, std::uint64_t> run_tracked_churn(
-    const char* spec, Scheduler& scheduler, std::uint64_t seed) {
+/// scheduler's from-scratch decision. Returns the matcher's work.
+ChurnWork run_tracked_churn(const char* spec, Scheduler& scheduler,
+                            std::uint64_t seed) {
   const PortId ports = 24;
   Rng rng(seed);
   VoqMatrix voqs(ports);
   fabric::CandidateCache cache(voqs, 1.0, scheduler.needs_arrival_lane());
   FlowId next_id = 0;
   Decision decision;
-  std::uint64_t candidates = 0;
-  std::uint64_t sorted = 0;
+  ChurnWork work;
+  std::size_t decided_size = 0;  // size of the last view decided on
   obs::Registry registry;
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
@@ -538,36 +550,62 @@ std::pair<std::uint64_t, std::uint64_t> run_tracked_churn(
         const auto port = static_cast<PortId>(rng.uniform_int(0, ports - 1));
         cache.set_port_usable(port, !cache.port_usable(port));
       }
+      const bool skipped = step == 0 || step % 17 == 8;
       if (step % 17 == 8) {
         // A refresh this scheduler never decides on: the next view
-        // skips a sequence number, so the order must be rebuilt.
+        // skips a sequence number, so the matching must be rebuilt.
         cache.refresh();
         admit();
       }
       const int repeats = step % 9 == 0 ? 2 : 1;
       const CandidateView& view = cache.refresh();
       for (int r = 0; r < repeats; ++r) {
-        const std::uint64_t before =
-            registry.phase(obs::Phase::kMatchSort).work;
+        const obs::PhaseStats sort = registry.phase(obs::Phase::kMatchSort);
+        const std::uint64_t repair =
+            registry.phase(obs::Phase::kMatchRepair).work;
         scheduler.decide_into(ports, view, decision);
-        sorted += registry.phase(obs::Phase::kMatchSort).work - before;
-        candidates += view.size();
+        work.sort_calls +=
+            registry.phase(obs::Phase::kMatchSort).calls - sort.calls;
+        work.sort_work +=
+            registry.phase(obs::Phase::kMatchSort).work - sort.work;
+        work.repair_work +=
+            registry.phase(obs::Phase::kMatchRepair).work - repair;
+        ++work.decisions;
+        work.candidates += view.size();
+        if (skipped && r == 0) {
+          ++work.rebuilds;
+        } else if (r == 0) {
+          work.rekeyed += view.changes().changed_count +
+                          (decided_size > view.size()
+                               ? decided_size - view.size()
+                               : 0);
+        }
         EXPECT_EQ(decision.selected,
                   fresh_decision(spec, ports, voqs, cache));
       }
+      decided_size = view.size();
     }
   }
   obs::set_enabled(was_enabled);
-  return {candidates, sorted};
+  return work;
+}
+
+/// The matching is kept: only the decisions after a skipped refresh
+/// sort and scan, and the repair re-keys every changed or vanished
+/// position once and adds cascade steps. All of the matcher's work
+/// together stays below the candidates decided over, which the accept
+/// scan alone used to walk.
+void expect_repaired(const ChurnWork& work) {
+  EXPECT_EQ(work.sort_calls, work.rebuilds);
+  EXPECT_GE(work.repair_work, work.rekeyed);
+  EXPECT_LT(2 * work.sort_work + work.repair_work, work.candidates);
 }
 
 TEST(TrackedDecisions, ChurnedCacheViewsDecideLikeAFreshScheduler) {
   for (const char* spec : kGreedySpecs) {
     SCOPED_TRACE(spec);
     SchedulerPtr scheduler = make_scheduler(SchedulerSpec::parse(spec));
-    const auto [candidates, sorted] = run_tracked_churn(spec, *scheduler, 17);
-    // The order is kept: far fewer entries sorted than decided over.
-    EXPECT_LT(2 * sorted, candidates);
+    expect_repaired(run_tracked_churn(spec, *scheduler, 17));
   }
 }
 
@@ -576,20 +614,18 @@ TEST(TrackedDecisions, ForwardingDecoratorKeepsTheTrackedPath) {
     SCOPED_TRACE(spec);
     SchedulerPtr inner = make_scheduler(SchedulerSpec::parse(spec));
     Forwarding decorator(*inner);
-    const auto [candidates, sorted] = run_tracked_churn(spec, decorator, 23);
-    EXPECT_LT(2 * sorted, candidates);
+    expect_repaired(run_tracked_churn(spec, decorator, 23));
   }
 }
 
 TEST(TrackedDecisions, NoisyDecoratorKeepsTheTrackedPath) {
-  // The size-noise decorator copies the lanes and perturbs each
-  // position's remaining size from that position's own lanes, so it
-  // hands the cache's change list on and the order is kept.
+  // The size-noise decorator keeps its perturbed lane copy and rewrites
+  // each changed position from that position's own lanes, so it hands
+  // the cache's change list on and the matching is kept.
   for (const char* spec : {"srpt:err=4", "fast-basrpt:v=2500:err=4"}) {
     SCOPED_TRACE(spec);
     SchedulerPtr scheduler = make_scheduler(SchedulerSpec::parse(spec));
-    const auto [candidates, sorted] = run_tracked_churn(spec, *scheduler, 29);
-    EXPECT_LT(2 * sorted, candidates);
+    expect_repaired(run_tracked_churn(spec, *scheduler, 29));
   }
 }
 
@@ -674,6 +710,90 @@ TEST(TrackedDecisions, PortCountChangeRebuildsTheOrder) {
     std::vector<VoqCandidate> all = build_candidates(voqs, 1.0, false);
     EXPECT_EQ(decision.selected, decide_aos(fresh, n_ports, all).selected);
   }
+}
+
+// ------------------------------------------------------- decision audit
+
+/// SRPT that drops the last flow of its selection at exactly one
+/// decision: still a matching, but not the greedy one.
+class ErrsOnce final : public Scheduler {
+ public:
+  ErrsOnce(std::uint64_t at, bool stateful) : at_(at), stateful_(stateful) {}
+  std::string name() const override { return "srpt"; }
+  bool needs_arrival_lane() const override { return false; }
+  void decide_into(PortId n_ports, const CandidateView& candidates,
+                   Decision& out) override {
+    inner_.decide_into(n_ports, candidates, out);
+    if (++calls_ == at_) {
+      out.selected.pop_back();
+    }
+  }
+  std::vector<std::uint64_t> checkpoint_state() const override {
+    return stateful_ ? std::vector<std::uint64_t>{calls_}
+                     : std::vector<std::uint64_t>{};
+  }
+
+ private:
+  SrptScheduler inner_;
+  std::uint64_t at_;
+  bool stateful_;
+  std::uint64_t calls_ = 0;
+};
+
+/// Decides `count` times on a churned cache view through `audited`:
+/// the served flows drain and a flow arrives before each decision.
+void run_audited(AuditedScheduler& audited, int count) {
+  const PortId ports = 8;
+  Rng rng(43);
+  VoqMatrix voqs = random_state(ports, 40, rng);
+  fabric::CandidateCache cache(voqs, 1.0, false);
+  Decision decision;
+  FlowId next_id = 100000;
+  for (int d = 0; d < count; ++d) {
+    for (const FlowId id : decision.selected) {
+      voqs.drain(id, Bytes{1});
+    }
+    voqs.add_flow(make_flow(next_id++, d % ports, (d + 1 + d / ports) % ports,
+                            rng.uniform_int(1, 400)));
+    audited.decide_into(ports, cache.refresh(), decision);
+  }
+}
+
+TEST(DecisionAudit, CatchesTheOneWrongDecisionItSamples) {
+  const std::uint64_t at = 2 * AuditedScheduler::kAuditEvery;
+  AuditedScheduler audited(std::make_unique<ErrsOnce>(at, false),
+                           std::make_unique<SrptScheduler>());
+  try {
+    run_audited(audited, static_cast<int>(at) + 10);
+    FAIL() << "the wrong decision went through";
+  } catch (const fault::InvariantError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("decision " + std::to_string(at) + " of 'srpt'"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("selected ["), std::string::npos) << what;
+    EXPECT_NE(what.find("from-scratch decision selects ["), std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(audited.decisions(), at);
+  EXPECT_EQ(audited.audits(), 2u);
+}
+
+TEST(DecisionAudit, SamplesEveryThousandthDecisionOnly) {
+  // An error between samples passes; the samples around it agree.
+  const std::uint64_t at = AuditedScheduler::kAuditEvery + 1;
+  AuditedScheduler audited(std::make_unique<ErrsOnce>(at, false),
+                           std::make_unique<SrptScheduler>());
+  EXPECT_NO_THROW(run_audited(audited, 3000));
+  EXPECT_EQ(audited.audits(), 3u);
+}
+
+TEST(DecisionAudit, LeavesStatefulSchedulersUnaudited) {
+  const std::uint64_t at = AuditedScheduler::kAuditEvery;
+  AuditedScheduler audited(std::make_unique<ErrsOnce>(at, true),
+                           std::make_unique<SrptScheduler>());
+  EXPECT_NO_THROW(run_audited(audited, 1500));
+  EXPECT_EQ(audited.audits(), 0u);
 }
 
 // ------------------------------------------------------ decision checking

@@ -35,9 +35,32 @@ std::vector<double> random_lane(Rng& rng, std::size_t n) {
   return x;
 }
 
+/// compute_keys_at over every position but each third must write the
+/// bits `want` holds there and leave the skipped positions alone.
+void expect_keys_at(KeyOp op, double p0, double p1,
+                    const std::vector<double>& sr,
+                    const std::vector<double>& backlog,
+                    const std::vector<double>& want) {
+  const std::size_t n = sr.size();
+  std::vector<std::uint32_t> at;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 3 != 1) {
+      at.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  std::vector<double> got(n, 7.0);
+  compute_keys_at(op, p0, p1, sr.data(), backlog.data(), at.data(),
+                  at.size(), got.data());
+  for (std::size_t i = 0; i < n; ++i) {
+    const double expected = i % 3 != 1 ? want[i] : 7.0;
+    EXPECT_EQ(std::memcmp(&expected, &got[i], sizeof(double)), 0)
+        << "compute_keys_at n=" << n << " i=" << i;
+  }
+}
+
 TEST(Kernels, ComputeKeysVariantsBitIdentical) {
-  // Both key ops, compared with memcmp so a -0.0 where +0.0 belongs
-  // fails too.
+  // Both key ops, over every position and over listed positions,
+  // compared with memcmp so a -0.0 where +0.0 belongs fails too.
   Rng rng(11);
   const double p0 = 2500.0 / 144.0;
   const double p1 = 1e12;
@@ -59,6 +82,7 @@ TEST(Kernels, ComputeKeysVariantsBitIdentical) {
                  got.data());
     EXPECT_EQ(std::memcmp(want.data(), got.data(), n * sizeof(double)), 0)
         << "fast-basrpt n=" << n;
+    expect_keys_at(KeyOp::kFastBasrpt, p0, p1, sr, backlog, want);
 
     for (std::size_t i = 0; i < n; ++i) {
       want[i] = sr[i] + (backlog[i] > p0 ? 0.0 : p1);
@@ -67,6 +91,7 @@ TEST(Kernels, ComputeKeysVariantsBitIdentical) {
                  got.data());
     EXPECT_EQ(std::memcmp(want.data(), got.data(), n * sizeof(double)), 0)
         << "threshold-srpt n=" << n;
+    expect_keys_at(KeyOp::kThresholdSrpt, p0, p1, sr, backlog, want);
   }
 }
 
